@@ -30,6 +30,28 @@ import sys
 __all__ = ["main"]
 
 
+def _int_at_least(text: str, minimum: int, what: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}"
+        ) from None
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse ``type=`` for counts: an integer of at least 1."""
+    return _int_at_least(text, 1, "a positive integer")
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse ``type=`` for seeds: an integer of at least 0."""
+    return _int_at_least(text, 0, "a non-negative integer")
+
+
 def _cmd_demo(args: argparse.Namespace) -> int:
     import numpy as np
 
@@ -674,7 +696,7 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     demo = sub.add_parser("demo", help="run one authentication round")
-    demo.add_argument("--seed", type=int, default=7)
+    demo.add_argument("--seed", type=_non_negative_int, default=7)
     demo.add_argument("--distance", type=int, default=2, choices=(1, 2, 3))
     demo.set_defaults(fn=_cmd_demo)
 
@@ -700,13 +722,13 @@ def main(argv: list[str] | None = None) -> int:
                         help="search horizon (default: the planted distance)")
     search.add_argument("--budget", type=float, default=None,
                         help="time budget in seconds (protocol T)")
-    search.add_argument("--seed", type=int, default=0)
+    search.add_argument("--seed", type=_non_negative_int, default=0)
     search.set_defaults(fn=_cmd_search)
 
     attack = sub.add_parser("attack", help="opponent simulation")
     attack.add_argument("--hash", default="sha3-256")
     attack.add_argument("--budget", type=float, default=1.0)
-    attack.add_argument("--seed", type=int, default=0)
+    attack.add_argument("--seed", type=_non_negative_int, default=0)
     attack.set_defaults(fn=_cmd_attack)
 
     experiments = sub.add_parser("experiments", help="list the experiment index")
@@ -732,10 +754,10 @@ def main(argv: list[str] | None = None) -> int:
         choices=("clean", "flaky-device", "lossy-wan", "smoke"),
         help="named fault plan",
     )
-    chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--clients", type=int, default=None,
+    chaos.add_argument("--seed", type=_non_negative_int, default=0)
+    chaos.add_argument("--clients", type=_positive_int, default=None,
                        help="override the plan's fleet size")
-    chaos.add_argument("--workers", type=int, default=None,
+    chaos.add_argument("--workers", type=_positive_int, default=None,
                        help="override the server worker count")
     chaos.set_defaults(fn=_cmd_chaos)
 
@@ -743,7 +765,7 @@ def main(argv: list[str] | None = None) -> int:
         "sched", help="scheduler vs FIFO tail latency on a mixed fleet"
     )
     sched.add_argument("--hash", default="sha1")
-    sched.add_argument("--requests", type=int, default=16)
+    sched.add_argument("--requests", type=_positive_int, default=16)
     sched.add_argument("--depths", default="1,2,3,4",
                        help="comma-separated search depths, cycled")
     sched.add_argument("--budget", type=float, default=5.0,
@@ -752,7 +774,7 @@ def main(argv: list[str] | None = None) -> int:
                        help="client deadline attached to shallow requests")
     sched.add_argument("--batch-size", type=int, default=16384,
                        dest="batch_size")
-    sched.add_argument("--seed", type=int, default=0)
+    sched.add_argument("--seed", type=_non_negative_int, default=0)
     sched.set_defaults(fn=_cmd_sched)
 
     fleet = sub.add_parser(
@@ -762,14 +784,14 @@ def main(argv: list[str] | None = None) -> int:
                        help="comma-separated device tokens, e.g. "
                             "host,flaky-apu or gpu,slow-host")
     fleet.add_argument("--hash", default="sha1")
-    fleet.add_argument("--requests", type=int, default=8)
+    fleet.add_argument("--requests", type=_positive_int, default=8)
     fleet.add_argument("--depths", default="1,2,2,3",
                        help="comma-separated search depths, cycled")
     fleet.add_argument("--budget", type=float, default=None,
                        help="per-request time budget (protocol T)")
     fleet.add_argument("--batch-size", type=int, default=4096,
                        dest="batch_size")
-    fleet.add_argument("--seed", type=int, default=0)
+    fleet.add_argument("--seed", type=_non_negative_int, default=0)
     fleet.add_argument("--storm", action="store_true",
                        help="run the device-loss chaos storm instead "
                             "(kill a device mid-run; exit 1 on any lost "
@@ -784,12 +806,12 @@ def main(argv: list[str] | None = None) -> int:
         "directory",
         help="sharded enrollment directory demo / shard-loss storm",
     )
-    directory.add_argument("--shards", type=int, default=8)
-    directory.add_argument("--replication", type=int, default=2)
-    directory.add_argument("--clients", type=int, default=None,
+    directory.add_argument("--shards", type=_positive_int, default=8)
+    directory.add_argument("--replication", type=_positive_int, default=2)
+    directory.add_argument("--clients", type=_positive_int, default=None,
                            help="fleet size (default: 8 for the demo, "
                                 "24 for the storm)")
-    directory.add_argument("--seed", type=int, default=0)
+    directory.add_argument("--seed", type=_non_negative_int, default=0)
     directory.add_argument("--storm", action="store_true",
                            help="run the shard-loss chaos storm instead "
                                 "(kill one shard, then a whole replica "
@@ -808,9 +830,9 @@ def main(argv: list[str] | None = None) -> int:
              "is mistyped)",
     )
     tenants.add_argument("--hash", default="sha1")
-    tenants.add_argument("--victims", type=int, default=6,
+    tenants.add_argument("--victims", type=_positive_int, default=6,
                          help="victim fleet size (requests)")
-    tenants.add_argument("--aggressors", type=int, default=12,
+    tenants.add_argument("--aggressors", type=_positive_int, default=12,
                          help="aggressor burst size (requests)")
     tenants.add_argument("--aggressor-rate", type=float, default=1.0,
                          dest="aggressor_rate",
@@ -819,8 +841,8 @@ def main(argv: list[str] | None = None) -> int:
     tenants.add_argument("--aggressor-burst", type=float, default=1.0,
                          dest="aggressor_burst",
                          help="aggressor token-bucket capacity")
-    tenants.add_argument("--workers", type=int, default=2)
-    tenants.add_argument("--seed", type=int, default=0)
+    tenants.add_argument("--workers", type=_positive_int, default=2)
+    tenants.add_argument("--seed", type=_non_negative_int, default=0)
     tenants.add_argument("--ratio-limit", type=float, default=1.25,
                          dest="ratio_limit",
                          help="allowed victim p99 degradation under "
@@ -839,30 +861,30 @@ def main(argv: list[str] | None = None) -> int:
     deploy.add_argument("--profiles", default=None,
                         help="comma-separated WAN profiles "
                              "(default: lan,wan,lossy-wan)")
-    deploy.add_argument("--servers", type=int, default=1)
+    deploy.add_argument("--servers", type=_positive_int, default=1)
     deploy.add_argument("--devices", default="host,host",
                         help="fleet device tokens per server")
     deploy.add_argument("--engine", default="fleet",
                         choices=("fleet", "sched", "fifo"))
     deploy.add_argument("--hash", default="sha1")
     deploy.add_argument("--distance", type=int, default=2)
-    deploy.add_argument("--workers", type=int, default=2)
+    deploy.add_argument("--workers", type=_positive_int, default=2)
     deploy.add_argument("--budget", type=float, default=5.0,
                         help="per-search time budget (protocol T)")
-    deploy.add_argument("--clients", type=int, default=8,
+    deploy.add_argument("--clients", type=_positive_int, default=8,
                         help="enrolled fleet size")
     deploy.add_argument("--tenants", default=None,
                         help="comma-separated tenant namespaces")
-    deploy.add_argument("--requests", type=int, default=36,
+    deploy.add_argument("--requests", type=_positive_int, default=36,
                         help="requests per profile")
     deploy.add_argument("--duration", type=float, default=6.0,
                         help="trace window in seconds")
-    deploy.add_argument("--loadgens", type=int, default=2,
+    deploy.add_argument("--loadgens", type=_positive_int, default=2,
                         help="load-generator processes")
     deploy.add_argument("--time-scale", type=float, default=1.0,
                         dest="time_scale",
                         help="compress (<1) or stretch (>1) arrivals")
-    deploy.add_argument("--seed", type=int, default=0)
+    deploy.add_argument("--seed", type=_non_negative_int, default=0)
     deploy.add_argument("--output", default=None,
                         help="write BENCH_deployment.json here "
                              "(BENCH_recovery.json with --crash)")

@@ -223,11 +223,11 @@ def build_serving_stack(
 ):
     """(verifying_authority, scheduler_engine_or_None) for one server.
 
-    ``fleet`` mode builds a :class:`~repro.fleet.engine.FleetSearchEngine`
-    over the topology's device tokens, ``sched`` a single-device
-    :class:`~repro.sched.engine.ScheduledSearchEngine`; both slot into
-    the ConcurrentCAServer's scheduler seat. ``fifo`` returns ``None``
-    and the server's bounded worker pool serves directly.
+    ``fleet`` mode builds a ``fleet:`` engine over the topology's device
+    tokens, ``sched`` a ``sched:`` engine (a one-device fleet); either
+    :class:`~repro.fleet.engine.FleetSearchEngine` fills the
+    ConcurrentCAServer's scheduler seat. ``fifo`` returns ``None`` and
+    the server's bounded worker pool serves directly.
 
     With ``topology.durability`` set and a ``data_dir`` given, the
     enrollment store is a WAL-backed
@@ -263,22 +263,17 @@ def build_serving_stack(
     enroll_topology_fleet(authority, topology, seed, skip_existing=durable)
     verifying = VerifyingAuthority(authority)
 
-    engine = None
-    if topology.engine == "fleet":
-        from repro.fleet.engine import FleetSearchEngine
-
-        engine = FleetSearchEngine(
-            *topology.devices,
-            hash_name=topology.hash_name,
-            batch_size=topology.batch_size,
-            max_queue=topology.max_queue,
-        )
-    elif topology.engine == "sched":
-        from repro.sched.engine import ScheduledSearchEngine
-
-        engine = ScheduledSearchEngine(
-            hash_name=topology.hash_name,
-            batch_size=topology.batch_size,
-            max_queue=topology.max_queue,
-        )
+    if topology.engine == "fifo":
+        return verifying, None
+    spec = (
+        f"fleet:{','.join(topology.devices)}"
+        if topology.engine == "fleet"
+        else "sched"
+    )
+    engine = build_engine(
+        spec,
+        hash_name=topology.hash_name,
+        batch_size=topology.batch_size,
+        max_queue=topology.max_queue,
+    )
     return verifying, engine

@@ -9,12 +9,11 @@ inventing its own counters.
 ``on_amortization``, ``on_schedule``, and ``on_fleet`` are *optional*
 extensions: amortized-pipeline engines (plan cache / warm pool) call
 ``on_amortization`` once per search with that search's
-:class:`~repro.engines.result.AmortizationStats`, the scheduler
-(:mod:`repro.sched`) calls ``on_schedule`` once per request — at
-retirement — with its
-:class:`~repro.engines.result.SchedulingStats`, and the device fleet
-(:mod:`repro.fleet`) calls ``on_fleet`` once per request with its
-:class:`~repro.engines.result.FleetStats`. All three are discovered
+:class:`~repro.engines.result.AmortizationStats`, and the dispatcher
+behind ``sched:`` and ``fleet:`` (:mod:`repro.fleet`) calls
+``on_schedule`` once per request — at retirement — with its
+:class:`~repro.engines.result.SchedulingStats`, and ``on_fleet`` once
+per request with its :class:`~repro.engines.result.FleetStats`. All three are discovered
 via ``getattr`` so third-party hook objects implementing only the two
 required methods keep working unchanged.
 

@@ -96,12 +96,12 @@ class AmortizationStats:
 class SchedulingStats:
     """Scheduler extension: how the continuous batcher served this search.
 
-    Populated by the ``sched:`` engine family (:mod:`repro.sched`). A
-    search that rode the shared work stream records which lane it ran
-    in, how long it queued before its first device batch, how many
-    device batches carried its candidates (and how many of those were
-    shared with other requests), and how often it was set aside so
-    another request could use the device.
+    Populated by the dispatcher behind ``sched:`` and ``fleet:``
+    (:mod:`repro.fleet.dispatcher`). A search that rode the shared work
+    stream records which lane it ran in, how long it queued before its
+    first device batch, how many device batches carried its candidates
+    (and how many of those were shared with other requests), and how
+    often it was set aside so another request could use the device.
     """
 
     lane: str = ""
@@ -131,11 +131,12 @@ class SchedulingStats:
 class FleetStats:
     """Multi-device extension: how the device fleet served this search.
 
-    Populated by the ``fleet:`` engine family (:mod:`repro.fleet`). A
-    search placed on a health-checked device fleet records which devices
-    carried its batches, which device found the seed, and how often its
-    chunks had to be re-dispatched (device failure), duplicated (hedged
-    straggler batches), or moved to another device entirely.
+    Populated by the dispatcher behind ``sched:`` (a fleet of one) and
+    ``fleet:``. A search placed on a health-checked device fleet records
+    which devices carried its batches, which device found the seed, and
+    how often its chunks had to be re-dispatched (device failure),
+    duplicated (hedged straggler batches), or moved to another device
+    entirely.
     """
 
     #: Devices that served at least one batch for this request, sorted.

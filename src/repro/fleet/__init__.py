@@ -1,6 +1,6 @@
-"""Fault-tolerant multi-device dispatch for the search scheduler.
+"""The search dispatcher: one device (``sched:``) or a fault-tolerant fleet.
 
-The fleet layer places :mod:`repro.sched` work units across several
+The fleet layer places :mod:`repro.sched` work units across one or more
 modeled device backends, health-checks them with heartbeat probes and
 per-device circuit breakers, re-dispatches chunks orphaned by a device
 failure onto survivors (preserving the byte-equivalence contract), and

@@ -1,17 +1,26 @@
-"""Fault-tolerant multi-device dispatch over the scheduler's work units.
+"""The search dispatcher: one or more devices, many requests.
 
-:class:`FleetScheduler` is the multi-device sibling of
-:class:`~repro.sched.scheduler.SearchScheduler`: the same admission
-policy, lanes, chunk cursors, and continuous batcher — but with one
-dispatcher thread *per device* plus a monitor thread, so several modeled
-accelerators serve the shared request stream concurrently.
+:class:`FleetScheduler` turns concurrent authentication requests into a
+shared, continuously-batched work stream. Each submission is decomposed
+into shell chunks (:mod:`repro.sched.units`), admitted or shed by the
+policy (:mod:`repro.sched.policy`), and served chunk-slice by
+chunk-slice through the fused batcher (:mod:`repro.sched.batcher`) on
+one dispatcher thread *per device*, plus a monitor thread. A request
+retires the moment its seed is found (its remaining chunks are simply
+dropped — the per-request early exit), when its shells are exhausted,
+when its protocol time budget expires (a ``timed_out`` result, exactly
+like the unscheduled engines), or when its client deadline passes (a
+typed :class:`~repro.sched.errors.RequestShed`).
 
-Placement and recovery rules:
+The ``sched:`` engine is this dispatcher over a single ``host`` device;
+``fleet:`` specs name several. Placement and recovery rules:
 
 * **Affinity** — each admitted request is assigned to the least-loaded
   placeable device and stays there; all of a request's batches run on
   its device, so the within-request candidate order is the single-engine
-  order and results stay byte-identical.
+  order (distance-0 probe first, then ascending shells in ascending rank
+  order) and results stay byte-identical to
+  :class:`~repro.runtime.executor.BatchSearchExecutor`.
 * **At most one in-flight batch per request** — assembly skips requests
   whose previous batch has not settled, so outcomes commit in protocol
   order even when a hedge is racing the primary.
@@ -22,7 +31,9 @@ Placement and recovery rules:
 * **Quarantine / probation** — each device's circuit breaker turns
   consecutive failures into quarantine; the monitor probes half-open
   devices and reinstates them on a successful heartbeat, re-placing any
-  parked requests.
+  parked requests. Idle healthy devices are heartbeat-probed only when
+  the fleet has more than one device — placement then has a choice to
+  protect; a lone device is checked by its next real batch instead.
 * **Hedging** — an idle device duplicates another device's unsettled
   batch once it is past the straggler latency threshold; the first
   result wins (a settle flag CASed under the fleet lock), the loser's
@@ -37,7 +48,10 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from collections.abc import Callable
 from typing import Sequence
+
+import numpy as np
 
 from repro._bitutils import seed_to_words
 from repro.devices.flaky import DeviceFailure
@@ -45,6 +59,7 @@ from repro.engines.hooks import EngineHooks
 from repro.engines.result import (
     AmortizationStats,
     FleetStats,
+    SchedulingStats,
     SearchResult,
     ShellStats,
 )
@@ -60,8 +75,7 @@ from repro.sched.errors import (
     SchedulerClosed,
 )
 from repro.sched.policy import SchedulingPolicy
-from repro.sched.scheduler import ScheduledSearch
-from repro.sched.units import DEFAULT_CHUNK_RANKS, decompose_search
+from repro.sched.units import DEFAULT_CHUNK_RANKS, decompose_search, expected_work
 
 from repro.fleet.device import FleetDevice
 
@@ -71,20 +85,134 @@ __all__ = ["FleetSearch", "FleetScheduler"]
 _THROUGHPUT_ALPHA = 0.3
 
 
-class FleetSearch(ScheduledSearch):
-    """One admitted request plus its fleet placement state."""
+class FleetSearch:
+    """One admitted request: the caller's ticket and the dispatcher's state.
 
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
+    Callers use :meth:`result`, :meth:`done`, and
+    :meth:`add_done_callback`; every other attribute belongs to the
+    dispatcher (policy ordering reads ``lane`` / ``deadline`` /
+    ``remaining_work`` / ``seq``).
+    """
+
+    def __init__(
+        self,
+        *,
+        seq: int,
+        client_id: str,
+        base_words: np.ndarray,
+        target_words: np.ndarray,
+        max_distance: int,
+        lane: str,
+        submitted_at: float,
+        time_budget: float | None,
+        deadline_seconds: float | None,
+        cursor: UnitCursor,
+        chunks_total: int,
+        tenant_id: str = DEFAULT_TENANT,
+    ):
+        self.seq = seq
+        self.client_id = client_id
+        #: Which tenant this request belongs to (fair-share + telemetry).
+        self.tenant_id = tenant_id
+        self.base_words = base_words
+        self.target_words = target_words
+        self.max_distance = max_distance
+        self.lane = lane
+        self.submitted_at = submitted_at
+        self.time_budget = time_budget
+        #: Absolute protocol time-budget expiry (T), or None.
+        self.expiry = None if time_budget is None else submitted_at + time_budget
+        #: Absolute client deadline (shed past this), or None.
+        self.deadline = (
+            None if deadline_seconds is None else submitted_at + deadline_seconds
+        )
+        self.deadline_seconds = deadline_seconds
+        self.cursor = cursor
+        self.chunks_total = chunks_total
+        self.remaining_work = expected_work(max_distance)
+        #: Promoted into the express lane by starvation-free aging.
+        self.aged = False
+        # -- placement, guarded by the fleet lock --
         #: Current device affinity (a FleetDevice), or None while parked.
         self.device: FleetDevice | None = None
         #: The unsettled batch carrying this request's chunks, if any.
         self.inflight_batch: "_InflightBatch | None" = None
+        # -- accounting --
+        self.seeds_hashed = 0
+        self.shell_hashed: dict[int, int] = {}
+        self.shell_seconds: dict[int, float] = {}
+        self.batches = 0
+        self.shared_batches = 0
+        self.preemptions = 0
+        self.first_batch_at: float | None = None
         self.batches_by_device: dict[str, int] = {}
         self.finder_device: str | None = None
         self.redispatched = 0
         self.hedged = 0
         self.reassignments = 0
+        # -- completion --
+        self._done = threading.Event()
+        self._result: SearchResult | None = None
+        self._error: RequestShed | None = None
+        self._callbacks: list[Callable[["FleetSearch"], None]] = []
+        self._callback_lock = threading.Lock()
+
+    # -- caller surface -------------------------------------------------
+
+    def done(self) -> bool:
+        """True once the request has a result or was shed."""
+        return self._done.is_set()
+
+    def result(self, timeout: float | None = None) -> SearchResult:
+        """Block for the outcome; raises :class:`RequestShed` if shed."""
+        if not self._done.wait(timeout):
+            raise TimeoutError("scheduled search still in flight")
+        if self._error is not None:
+            raise self._error
+        assert self._result is not None
+        return self._result
+
+    def add_done_callback(self, callback: Callable[["FleetSearch"], None]) -> None:
+        """Run ``callback(self)`` when the request retires.
+
+        Fires immediately if already done. Callbacks run on a
+        dispatcher thread — keep them cheap.
+        """
+        with self._callback_lock:
+            if not self._done.is_set():
+                self._callbacks.append(callback)
+                return
+        callback(self)
+
+    # -- dispatcher surface ---------------------------------------------
+
+    def _resolve(
+        self, result: SearchResult | None, error: RequestShed | None
+    ) -> None:
+        with self._callback_lock:
+            self._result = result
+            self._error = error
+            self._done.set()
+            callbacks, self._callbacks = self._callbacks, []
+        for callback in callbacks:
+            callback(self)
+
+    def scheduling_stats(self, now: float) -> SchedulingStats:
+        """This request's :class:`SchedulingStats` as of ``now``."""
+        started = self.first_batch_at
+        return SchedulingStats(
+            lane=self.lane,
+            tenant=self.tenant_id,
+            deadline_seconds=self.deadline_seconds,
+            queue_seconds=(started if started is not None else now)
+            - self.submitted_at,
+            service_seconds=0.0 if started is None else now - started,
+            batches=self.batches,
+            shared_batches=self.shared_batches,
+            preemptions=self.preemptions,
+            chunks_total=self.chunks_total,
+            chunks_run=self.cursor.units_started,
+        )
 
     def fleet_stats(self) -> FleetStats:
         """This request's :class:`FleetStats`."""
@@ -131,7 +259,7 @@ class _InflightBatch:
 
 
 class FleetScheduler:
-    """Health-checked multi-device dispatch with re-dispatch and hedging."""
+    """Continuous-batching EDF dispatch over health-checked devices."""
 
     def __init__(
         self,
@@ -142,7 +270,6 @@ class FleetScheduler:
         chunk_ranks: int = DEFAULT_CHUNK_RANKS,
         max_queue: int = 256,
         policy: SchedulingPolicy | None = None,
-        throughput_hint: float | None = None,
         heartbeat_seconds: float = 0.02,
         hedge_factor: float | None = 4.0,
         hedge_min_seconds: float = 0.05,
@@ -173,7 +300,12 @@ class FleetScheduler:
         self._hedge_min_seconds = hedge_min_seconds
         self._no_device_grace = no_device_grace
         self._tick = tick_seconds
-        self._spec = spec_string
+        #: What :meth:`describe` returns; ``None`` derives a ``fleet:``
+        #: spec from the device names.
+        self.spec = spec_string
+        #: Heartbeat idle healthy devices only when placement has a
+        #: choice between devices; a lone device's next batch finds out.
+        self._probe_idle = len(self.devices) > 1
         self._wake = threading.Condition()
         self._active: list[FleetSearch] = []
         #: Fleet-wide (tenant_id, rows) outcome window: fair share is
@@ -185,7 +317,7 @@ class FleetScheduler:
         self._closed = False
         self._drain = True
         self._seq = 0
-        self._throughput: float | None = throughput_hint
+        self._throughput: float | None = None
         self._no_healthy_since: float | None = None
         # -- counters (guarded by _wake's lock) --
         self._admitted = 0
@@ -224,9 +356,9 @@ class FleetScheduler:
         return self._executor.hash_name
 
     def describe(self) -> str:
-        """Canonical ``fleet:`` spec string for this configuration."""
-        if self._spec is not None:
-            return self._spec
+        """Canonical spec string for this configuration."""
+        if self.spec is not None:
+            return self.spec
         names = ",".join(d.name for d in self.devices)
         return (
             f"fleet:{names},hash={self.hash_name},bs={self.batch_size}"
@@ -276,10 +408,20 @@ class FleetScheduler:
     ) -> FleetSearch:
         """Admit one search and place it on the least-loaded device.
 
-        Same contract as :meth:`SearchScheduler.submit`; when no device
-        is placeable the request is *parked* and either placed on the
-        next reinstatement or shed (``no_healthy_devices``) once the
-        whole fleet stays dark past the grace window.
+        ``time_budget`` is the protocol threshold T — on expiry the
+        request completes with a ``timed_out`` result, exactly like the
+        unscheduled engines. ``deadline_seconds`` is the client's TTL —
+        a request that cannot meet it (or outlives it) is *shed* with a
+        typed :class:`RequestShed`. ``tenant`` attributes the request to
+        a tenant for quota admission and weighted fair share; omitted,
+        it runs under the default tenant. Raises
+        :class:`SchedulerClosed` after :meth:`close`, and
+        :class:`RequestShed` on admission rejection (full queue /
+        hopeless deadline / exhausted tenant budget).
+
+        When no device is placeable the request is *parked* and either
+        placed on the next reinstatement or shed (``no_healthy_devices``)
+        once the whole fleet stays dark past the grace window.
         """
         if max_distance < 0:
             raise ValueError("max_distance must be non-negative")
@@ -293,7 +435,7 @@ class FleetScheduler:
         units = decompose_search(max_distance, self.chunk_ranks)
         with self._wake:
             if self._closed:
-                raise SchedulerClosed("fleet scheduler is closed")
+                raise SchedulerClosed("scheduler is closed")
             reason = self.policy.admission_shed_reason(
                 queue_depth=len(self._active),
                 max_queue=self.max_queue,
@@ -317,10 +459,6 @@ class FleetScheduler:
                 lane=self.policy.lane_of(max_distance, deadline_seconds),
                 submitted_at=now,
                 time_budget=time_budget,
-                expiry=None if time_budget is None else now + time_budget,
-                deadline=(
-                    None if deadline_seconds is None else now + deadline_seconds
-                ),
                 deadline_seconds=deadline_seconds,
                 cursor=UnitCursor(self._executor, units),
                 chunks_total=len(units),
@@ -720,8 +858,11 @@ class FleetScheduler:
                     if state == "half_open":
                         if device.breaker.allow_request():
                             to_probe.append(device)
-                    elif state == "closed" and device.inflight is None and not any(
-                        r.device is device for r in self._active
+                    elif (
+                        state == "closed"
+                        and self._probe_idle
+                        and device.inflight is None
+                        and not any(r.device is device for r in self._active)
                     ):
                         # Idle healthy devices heartbeat too, so a dead
                         # device without work is still detected.

@@ -1,6 +1,7 @@
-"""``fleet:`` engine: the multi-device dispatcher behind the engine protocol.
+"""The dispatcher behind the engine protocol: ``fleet:`` and ``sched:``.
 
-Device tokens compose in the spec string, so a mixed fleet is one line::
+``sched:`` builds a fleet of one ``host`` device. Device tokens compose
+in a ``fleet:`` spec string, so a mixed fleet is one line::
 
     fleet:host,host                    # two identical host devices
     fleet:gpu,flaky-apu,hash=sha1      # healthy GPU + fault-injected APU
@@ -91,7 +92,7 @@ def _build_device(
 
 
 class FleetSearchEngine:
-    """Health-checked multi-device dispatch as a drop-in engine."""
+    """Continuous-batching device dispatch as a drop-in engine."""
 
     def __init__(
         self,
@@ -118,12 +119,8 @@ class FleetSearchEngine:
         fault_episodes: int = 1,
         fault_episode_length: int = 6,
         slow_factor: float = 8.0,
-        scheduler: FleetScheduler | None = None,
         tenants: TenantRegistry | None = None,
     ):
-        if scheduler is not None:
-            self.scheduler = scheduler
-            return
         tokens = tuple(devices) if devices else ("host", "host")
         executor = BatchSearchExecutor(
             hash_name=hash_name,

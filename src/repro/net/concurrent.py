@@ -13,13 +13,12 @@ Two serving modes share the front door:
 * **FIFO mode** (default) — a bounded :class:`ThreadPoolExecutor`, one
   worker per in-flight search, requests served in submission order.
 * **Scheduler mode** — pass a
-  :class:`~repro.sched.engine.ScheduledSearchEngine` and submissions
-  flow into its continuous-batching work stream instead: many requests
-  share one device, client deadlines are honored (EDF lanes, shedding),
-  and the queue-depth / shed / preemption counters below light up. A
-  :class:`~repro.fleet.engine.FleetSearchEngine` slots into the same
-  seat: the work stream then spans a health-checked device fleet, and
-  the ``redispatched`` / ``hedged`` counters record its recoveries.
+  :class:`~repro.fleet.engine.FleetSearchEngine` (a ``sched:`` or
+  ``fleet:`` spec) and submissions flow into its continuous-batching
+  work stream instead: many requests share the device batches, client
+  deadlines are honored (EDF lanes, shedding), and the queue-depth /
+  shed / preemption counters below light up. Over several devices the
+  ``redispatched`` / ``hedged`` counters also record its recoveries.
 """
 
 from __future__ import annotations
@@ -38,18 +37,17 @@ from repro.net.errors import ServerClosed
 from repro.net.messages import AuthenticationResult
 from repro.reliability.breaker import CircuitBreaker, CircuitOpenError
 from repro.runtime.pool import PooledSearchExecutor
-from repro.sched.engine import ScheduledSearchEngine
 from repro.sched.errors import (
     SHED_DIRECTORY_UNAVAILABLE,
     SHED_TENANT_QUOTA,
     RequestShed,
 )
-from repro.sched.scheduler import ScheduledSearch
 from repro.tenancy.context import DEFAULT_TENANT, namespaced_key
 from repro.tenancy.ledger import TenantLedger
 from repro.tenancy.registry import TenantRegistry
 
 if TYPE_CHECKING:
+    from repro.fleet.dispatcher import FleetSearch
     from repro.fleet.engine import FleetSearchEngine
 
 __all__ = ["ServerMetrics", "ConcurrentCAServer"]
@@ -296,7 +294,7 @@ class ConcurrentCAServer:
         workers: int = 4,
         max_queue: int = 64,
         breaker: CircuitBreaker | None = None,
-        scheduler: ScheduledSearchEngine | FleetSearchEngine | None = None,
+        scheduler: FleetSearchEngine | None = None,
         prefetch: bool = True,
         tenants: TenantRegistry | None = None,
     ):
@@ -322,10 +320,8 @@ class ConcurrentCAServer:
             # token buckets are charged exactly once per submission —
             # by the policy in scheduler mode, by the front door in FIFO
             # mode. A policy that already has its own registry keeps it.
-            policy = getattr(
-                getattr(scheduler, "scheduler", None), "policy", None
-            )
-            if policy is not None and policy.tenants is None:
+            policy = scheduler.scheduler.policy
+            if policy.tenants is None:
                 policy.tenants = self.tenants
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="rbc-search"
@@ -473,7 +469,7 @@ class ConcurrentCAServer:
 
     def _on_ticket_done(
         self,
-        ticket: ScheduledSearch,
+        ticket: FleetSearch,
         client_id: str,
         start: float,
         future: Future,
@@ -501,7 +497,7 @@ class ConcurrentCAServer:
                     client_id, result.seed, tenant
                 )
             scheduling = result.scheduling
-            fleet = getattr(result, "fleet", None)
+            fleet = result.fleet
             self.metrics.record(
                 completed=1,
                 authenticated=1 if result.found else 0,

@@ -321,9 +321,8 @@ def run_storm(
 
     scheduler_engine = None
     if config.scheduler:
-        from repro.sched.engine import ScheduledSearchEngine
-
-        scheduler_engine = ScheduledSearchEngine(
+        scheduler_engine = build_engine(
+            "sched",
             hash_name=config.hash_name,
             batch_size=16384,
             hooks=telemetry,

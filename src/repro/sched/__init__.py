@@ -5,9 +5,10 @@ concurrent authentication requests are decomposed into shell chunks
 (:mod:`~repro.sched.units`), admitted and ordered by deadline-aware
 lanes with a fairness cap (:mod:`~repro.sched.policy`), and served
 through a fused batcher that packs many clients' candidates into each
-device batch (:mod:`~repro.sched.batcher`). The scheduler core
-(:mod:`~repro.sched.scheduler`) runs it all on one dispatcher thread;
-:mod:`~repro.sched.engine` exposes it as the ``sched:`` engine spec.
+device batch (:mod:`~repro.sched.batcher`). One dispatcher runs it
+all: :class:`~repro.fleet.dispatcher.FleetScheduler`, one thread per
+device. The ``sched:`` engine spec is that dispatcher over a single
+``host`` device; ``fleet:`` specs name several.
 
 Quick start::
 
@@ -21,7 +22,6 @@ Quick start::
 from __future__ import annotations
 
 from repro.sched.batcher import BatchSlice, ContinuousBatcher, SliceOutcome, UnitCursor
-from repro.sched.engine import ScheduledSearchEngine
 from repro.sched.errors import (
     SHED_DEADLINE_EXPIRED,
     SHED_DEADLINE_UNMEETABLE,
@@ -39,7 +39,6 @@ from repro.sched.policy import (
     PolicyConfig,
     SchedulingPolicy,
 )
-from repro.sched.scheduler import ScheduledSearch, SearchScheduler
 from repro.sched.units import (
     DEFAULT_CHUNK_RANKS,
     WorkUnit,
@@ -61,9 +60,6 @@ __all__ = [
     "BatchSlice",
     "SliceOutcome",
     "ContinuousBatcher",
-    "ScheduledSearch",
-    "SearchScheduler",
-    "ScheduledSearchEngine",
     "SchedulerError",
     "SchedulerClosed",
     "RequestShed",

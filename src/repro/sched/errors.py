@@ -49,7 +49,7 @@ class SchedulerError(Exception):
 
 
 class SchedulerClosed(SchedulerError):
-    """Submission after :meth:`SearchScheduler.close`."""
+    """Submission after :meth:`~repro.fleet.dispatcher.FleetScheduler.close`."""
 
 
 class RequestShed(SchedulerError):

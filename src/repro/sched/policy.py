@@ -55,7 +55,7 @@ from repro.sched.errors import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.sched.scheduler import ScheduledSearch
+    from repro.fleet.dispatcher import FleetSearch
 
 __all__ = ["PolicyConfig", "SchedulingPolicy", "EXPRESS_LANE", "SHALLOW_LANE", "DEEP_LANE"]
 
@@ -155,7 +155,7 @@ class SchedulingPolicy:
     # -- aging ----------------------------------------------------------
 
     def apply_aging(
-        self, runnable: Sequence["ScheduledSearch"], now: float
+        self, runnable: Sequence["FleetSearch"], now: float
     ) -> int:
         """Promote requests queued past ``aging_seconds`` into express.
 
@@ -181,7 +181,7 @@ class SchedulingPolicy:
 
     def over_share_tenants(
         self,
-        runnable: Sequence["ScheduledSearch"],
+        runnable: Sequence["FleetSearch"],
         recent_tenant_rows: Iterable[tuple[str, int]],
     ) -> frozenset[str]:
         """Tenants currently over their weighted share of device rows.
@@ -224,9 +224,9 @@ class SchedulingPolicy:
 
     def _tenant_eligible(
         self,
-        runnable: Sequence["ScheduledSearch"],
+        runnable: Sequence["FleetSearch"],
         recent_tenant_rows: Iterable[tuple[str, int]],
-    ) -> list["ScheduledSearch"]:
+    ) -> list["FleetSearch"]:
         """Runnable requests fair share allows to lead the next batch.
 
         Aged requests stay eligible regardless of their tenant's share —
@@ -246,7 +246,7 @@ class SchedulingPolicy:
     # -- picking --------------------------------------------------------
 
     @staticmethod
-    def _lane_key(requests: Sequence["ScheduledSearch"]) -> tuple:
+    def _lane_key(requests: Sequence["FleetSearch"]) -> tuple:
         aged = [
             r.submitted_at for r in requests if getattr(r, "aged", False)
         ]
@@ -260,10 +260,10 @@ class SchedulingPolicy:
         return (1, min(r.remaining_work for r in requests))
 
     def lane_order(
-        self, runnable: Sequence["ScheduledSearch"], recent_lanes: Iterable[str]
+        self, runnable: Sequence["FleetSearch"], recent_lanes: Iterable[str]
     ) -> list[str]:
         """Lanes with runnable work, most-preferred first (EDF + cap)."""
-        lanes: dict[str, list["ScheduledSearch"]] = {}
+        lanes: dict[str, list["FleetSearch"]] = {}
         for request in runnable:
             lanes.setdefault(request.lane, []).append(request)
         order = sorted(lanes, key=lambda lane: self._lane_key(lanes[lane]))
@@ -280,10 +280,10 @@ class SchedulingPolicy:
 
     def pick(
         self,
-        runnable: Sequence["ScheduledSearch"],
+        runnable: Sequence["FleetSearch"],
         recent_lanes: Iterable[str],
         recent_tenant_rows: Iterable[tuple[str, int]] = (),
-    ) -> "ScheduledSearch":
+    ) -> "FleetSearch":
         """The request whose chunk the next device batch starts with.
 
         Tenant fair share filters first (an over-share tenant cannot
@@ -306,10 +306,10 @@ class SchedulingPolicy:
 
     def fill_order(
         self,
-        runnable: Sequence["ScheduledSearch"],
-        primary: "ScheduledSearch",
+        runnable: Sequence["FleetSearch"],
+        primary: "FleetSearch",
         recent_tenant_rows: Iterable[tuple[str, int]] = (),
-    ) -> list["ScheduledSearch"]:
+    ) -> list["FleetSearch"]:
         """Order in which requests may top up the rest of the batch.
 
         The batch belongs to ``primary``; leftover lanes fill by urgency

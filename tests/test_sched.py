@@ -23,6 +23,7 @@ from repro.sched import (
     EXPRESS_LANE,
     SHALLOW_LANE,
     SHED_DEADLINE_UNMEETABLE,
+    SHED_NO_DEVICES,
     SHED_SATURATED,
     SHED_SHUTDOWN,
     PolicyConfig,
@@ -33,7 +34,6 @@ from repro.sched import (
     decompose_search,
     expected_work,
 )
-from repro.sched.engine import ScheduledSearchEngine
 
 RNG = np.random.default_rng(20260805)
 BASE_SEED = RNG.bytes(32)
@@ -243,9 +243,8 @@ class TestAging:
         """Satellite: with the fairness rotation disabled (cap=1.0), only
         aging saves a deep request from starving under constant shallow
         pressure — and it must get service within a bounded wait."""
-        engine = ScheduledSearchEngine(
-            "sha1",
-            batch_size=4096,
+        engine = build_engine(
+            "sched:sha1,bs=4096",
             chunk_ranks=8192,
             fairness_cap=1.0,
             aging_seconds=0.3,
@@ -290,7 +289,7 @@ class TestAging:
 
 @pytest.fixture
 def engine():
-    engine = ScheduledSearchEngine("sha1", batch_size=4096, chunk_ranks=8192)
+    engine = build_engine("sched:sha1,bs=4096", chunk_ranks=8192)
     yield engine
     engine.close()
 
@@ -397,8 +396,8 @@ class TestSchedulerCore:
         }
 
     def test_saturation_shed(self):
-        engine = ScheduledSearchEngine(
-            "sha1", batch_size=4096, chunk_ranks=8192, max_queue=1
+        engine = build_engine(
+            "sched:sha1,bs=4096", chunk_ranks=8192, max_queue=1
         )
         try:
             absent = engine_target(engine, RNG.bytes(32))
@@ -433,8 +432,8 @@ class TestSchedulerCore:
 
     def test_on_schedule_hook_fires(self):
         hooks = TelemetryHooks()
-        engine = ScheduledSearchEngine(
-            "sha1", batch_size=4096, chunk_ranks=8192, hooks=hooks
+        engine = build_engine(
+            "sched:sha1,bs=4096", chunk_ranks=8192, hooks=hooks
         )
         try:
             client_seed = _planted(1, np.random.default_rng(5))
@@ -455,16 +454,66 @@ class TestSchedulerCore:
             rebuilt.close()
 
 
+class TestOneDeviceFleet:
+    """``sched:`` is the fleet dispatcher over a single ``host`` device."""
+
+    def test_result_carries_scheduling_and_single_device_fleet_stats(
+        self, engine
+    ):
+        client_seed = _planted(1, np.random.default_rng(17))
+        result = engine.search(BASE_SEED, engine_target(engine, client_seed), 1)
+        assert result.found and result.seed == client_seed
+        assert result.scheduling is not None
+        assert result.scheduling.batches >= 1
+        assert result.fleet is not None
+        assert result.fleet.devices == ("host-0",)
+        assert result.fleet.finder_device == "host-0"
+        assert result.engine.startswith("sched:sha1")
+
+    def test_idle_single_device_is_not_heartbeat_probed(self):
+        engine = build_engine("sched:sha3-256,bs=4096")
+        try:
+            client_seed = _planted(1, np.random.default_rng(19))
+            target = engine_target(engine, client_seed)
+            assert engine.search(BASE_SEED, target, 1).found
+            time.sleep(0.5)
+            assert engine.scheduler.snapshot()["probes"] == 0
+        finally:
+            engine.close()
+
+    def test_idle_multi_device_fleet_is_heartbeat_probed(self):
+        engine = build_engine("fleet:host,host,hash=sha1,bs=4096")
+        try:
+            client_seed = _planted(1, np.random.default_rng(23))
+            target = engine_target(engine, client_seed)
+            assert engine.search(BASE_SEED, target, 1).found
+            time.sleep(0.5)
+            assert engine.scheduler.snapshot()["probes"] > 0
+        finally:
+            engine.close()
+
+    def test_killed_only_device_sheds_typed_within_grace(self, engine):
+        engine.scheduler.kill_device("host-0")
+        absent = engine_target(engine, RNG.bytes(32))
+        start = time.perf_counter()
+        ticket = engine.submit(BASE_SEED, absent, 2, client_id="orphan")
+        # Default no-device grace window (2 s) plus one second.
+        with pytest.raises(RequestShed) as excinfo:
+            ticket.result(timeout=3.0)
+        assert excinfo.value.reason == SHED_NO_DEVICES
+        assert time.perf_counter() - start < 3.0
+
+
 class TestSchedulerClose:
     def test_close_is_idempotent_and_rejects_new_work(self):
-        engine = ScheduledSearchEngine("sha1", batch_size=4096)
+        engine = build_engine("sched:sha1,bs=4096")
         engine.close()
         engine.close()
         with pytest.raises(SchedulerClosed):
             engine.submit(BASE_SEED, b"\x00" * 20, 1)
 
     def test_close_drains_in_flight_requests(self):
-        engine = ScheduledSearchEngine("sha1", batch_size=4096, chunk_ranks=8192)
+        engine = build_engine("sched:sha1,bs=4096", chunk_ranks=8192)
         client_seed = _planted(1, np.random.default_rng(9))
         target = engine_target(engine, client_seed)
         ticket = engine.submit(BASE_SEED, target, 2, client_id="drain")
@@ -473,7 +522,7 @@ class TestSchedulerClose:
         assert result.found and result.seed == client_seed
 
     def test_close_without_drain_sheds_with_shutdown_reason(self):
-        engine = ScheduledSearchEngine("sha1", batch_size=4096, chunk_ranks=8192)
+        engine = build_engine("sched:sha1,bs=4096", chunk_ranks=8192)
         absent = engine_target(engine, RNG.bytes(32))
         tickets = [
             engine.submit(BASE_SEED, absent, 2, client_id=f"s{i}")
@@ -496,8 +545,8 @@ class TestSchedulerClose:
 class TestFairness:
     def test_deep_search_cannot_monopolize_the_device(self):
         """With a deep straggler in flight, shallow work still lands."""
-        engine = ScheduledSearchEngine(
-            "sha1", batch_size=4096, chunk_ranks=8192
+        engine = build_engine(
+            "sched:sha1,bs=4096", chunk_ranks=8192
         )
         try:
             absent = engine_target(engine, RNG.bytes(32))
@@ -576,7 +625,7 @@ class TestServingIntegration:
         from repro.net.concurrent import ConcurrentCAServer
 
         authority, clients = fleet
-        scheduler = ScheduledSearchEngine("sha1", batch_size=8192)
+        scheduler = build_engine("sched:sha1,bs=8192")
         with ConcurrentCAServer(authority, scheduler=scheduler) as server:
             futures = []
             for client_id, device, mask in clients:
@@ -600,7 +649,7 @@ class TestServingIntegration:
         from repro.net.concurrent import ConcurrentCAServer
 
         authority, clients = fleet
-        scheduler = ScheduledSearchEngine("sha1", batch_size=8192)
+        scheduler = build_engine("sched:sha1,bs=8192")
         scheduler.scheduler.prime_throughput(1e6)
         with ConcurrentCAServer(authority, scheduler=scheduler) as server:
             client_id = clients[0][0]
@@ -614,7 +663,7 @@ class TestServingIntegration:
         from repro.net.concurrent import ConcurrentCAServer
 
         authority, clients = fleet
-        scheduler = ScheduledSearchEngine("sha1", batch_size=8192)
+        scheduler = build_engine("sched:sha1,bs=8192")
         server = ConcurrentCAServer(authority, scheduler=scheduler)
         client_id, device, mask = clients[0]
         challenge = authority.issue_challenge(client_id)

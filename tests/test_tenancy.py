@@ -14,6 +14,7 @@ from repro.core import (
 )
 from repro.core.salting import HashChainSalt
 from repro.directory.sharded import ShardedEnrollmentDirectory
+from repro.engines import build_engine
 from repro.hashes.registry import get_hash
 from repro.keygen.interface import get_keygen
 from repro.net.concurrent import ConcurrentCAServer
@@ -22,7 +23,6 @@ from repro.puf.image_db import EncryptedImageDatabase
 from repro.puf.model import SRAMPuf
 from repro.puf.ternary import enroll_with_masking
 from repro.runtime.executor import BatchSearchExecutor
-from repro.sched.engine import ScheduledSearchEngine
 from repro.sched.errors import (
     SHED_SATURATED,
     SHED_TENANT_QUOTA,
@@ -481,7 +481,7 @@ class TestServerTenancy:
         digests = [
             _planted_digest(authority, f"c{i}", "gold") for i in range(2)
         ]
-        engine = ScheduledSearchEngine("sha1", batch_size=4096)
+        engine = build_engine("sched:sha1,bs=4096")
         with ConcurrentCAServer(
             authority, scheduler=engine, tenants=registry
         ) as server:
