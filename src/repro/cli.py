@@ -52,6 +52,26 @@ def _non_negative_int(text: str) -> int:
     return _int_at_least(text, 0, "a non-negative integer")
 
 
+def _positive_float(text: str) -> float:
+    """argparse ``type=`` for time budgets: a number above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number, got {text!r}"
+        ) from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _depths(text: str) -> tuple[int, ...]:
+    """argparse ``type=`` for ``--depths``: comma-separated distances."""
+    return tuple(
+        _int_at_least(d, 0, "a non-negative integer") for d in text.split(",")
+    )
+
+
 def _cmd_demo(args: argparse.Namespace) -> int:
     import numpy as np
 
@@ -295,7 +315,7 @@ def _cmd_sched(args: argparse.Namespace) -> int:
     )
 
     algo = get_hash(args.hash)
-    depths = tuple(int(d) for d in args.depths.split(","))
+    depths = args.depths
     workload = mixed_workload(
         algo,
         requests=args.requests,
@@ -358,7 +378,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     from repro.fleet.storm import run_device_loss_storm
 
     devices = tuple(t.strip() for t in args.devices.split(",") if t.strip())
-    depths = tuple(int(d) for d in args.depths.split(","))
+    depths = args.depths
 
     if args.storm:
         report = run_device_loss_storm(
@@ -766,13 +786,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     sched.add_argument("--hash", default="sha1")
     sched.add_argument("--requests", type=_positive_int, default=16)
-    sched.add_argument("--depths", default="1,2,3,4",
+    sched.add_argument("--depths", type=_depths, default="1,2,3,4",
                        help="comma-separated search depths, cycled")
-    sched.add_argument("--budget", type=float, default=5.0,
+    sched.add_argument("--budget", type=_positive_float, default=5.0,
                        help="per-request time budget (protocol T)")
     sched.add_argument("--deadline", type=float, default=None,
                        help="client deadline attached to shallow requests")
-    sched.add_argument("--batch-size", type=int, default=16384,
+    sched.add_argument("--batch-size", type=_positive_int, default=16384,
                        dest="batch_size")
     sched.add_argument("--seed", type=_non_negative_int, default=0)
     sched.set_defaults(fn=_cmd_sched)
@@ -785,11 +805,11 @@ def main(argv: list[str] | None = None) -> int:
                             "host,flaky-apu or gpu,slow-host")
     fleet.add_argument("--hash", default="sha1")
     fleet.add_argument("--requests", type=_positive_int, default=8)
-    fleet.add_argument("--depths", default="1,2,2,3",
+    fleet.add_argument("--depths", type=_depths, default="1,2,2,3",
                        help="comma-separated search depths, cycled")
-    fleet.add_argument("--budget", type=float, default=None,
+    fleet.add_argument("--budget", type=_positive_float, default=None,
                        help="per-request time budget (protocol T)")
-    fleet.add_argument("--batch-size", type=int, default=4096,
+    fleet.add_argument("--batch-size", type=_positive_int, default=4096,
                        dest="batch_size")
     fleet.add_argument("--seed", type=_non_negative_int, default=0)
     fleet.add_argument("--storm", action="store_true",
@@ -906,6 +926,11 @@ def main(argv: list[str] | None = None) -> int:
     deploy.set_defaults(fn=_cmd_deploy)
 
     args = parser.parse_args(argv)
+    if args.command == "directory" and args.replication > args.shards:
+        directory.error(
+            f"argument --replication: {args.replication} replicas need at "
+            f"least as many shards, got --shards {args.shards}"
+        )
     try:
         return args.fn(args)
     except BrokenPipeError:

@@ -29,7 +29,6 @@ Hook discipline:
 
 from __future__ import annotations
 
-import threading
 from typing import Protocol, runtime_checkable
 
 from repro.engines.result import (
@@ -38,6 +37,7 @@ from repro.engines.result import (
     SchedulingStats,
     ShellStats,
 )
+from repro.obs import Counters
 
 __all__ = ["EngineHooks", "NullHooks", "TelemetryHooks"]
 
@@ -78,77 +78,59 @@ class TelemetryHooks:
     """Thread-safe accumulating hooks — the standard telemetry consumer.
 
     Safe to share across engines and across the serving layer's worker
-    threads; ``snapshot()`` returns a consistent copy.
+    threads; ``snapshot()`` returns a consistent copy. Batches are also
+    counted per Hamming distance, reported as ``seeds_by_distance``.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.batches = 0
-        self.seeds_hashed = 0
-        self.shells_completed = 0
-        self.shell_seconds = 0.0
-        self.seeds_by_distance: dict[int, int] = {}
-        self.plan_hits = 0
-        self.plan_misses = 0
-        self.pool_reuses = 0
-        self.scheduled = 0
-        self.shared_batches = 0
-        self.preemptions = 0
-        self.queue_seconds = 0.0
-        self.fleet_requests = 0
-        self.redispatched_chunks = 0
-        self.hedged_batches = 0
+        self._counters = Counters[int](
+            **dict.fromkeys(
+                (
+                    "batches", "seeds_hashed", "shells_completed",
+                    "plan_hits", "plan_misses", "pool_reuses",
+                    "scheduled", "shared_batches", "preemptions",
+                    "fleet_requests", "redispatched_chunks", "hedged_batches",
+                ),
+                int,
+            ),
+            shell_seconds=float,
+            queue_seconds=float,
+        )
 
     def on_batch(self, distance: int, seeds_hashed: int) -> None:
-        with self._lock:
-            self.batches += 1
-            self.seeds_hashed += seeds_hashed
-            self.seeds_by_distance[distance] = (
-                self.seeds_by_distance.get(distance, 0) + seeds_hashed
-            )
+        self._counters.add(distance, batches=1, seeds_hashed=seeds_hashed)
 
     def on_shell_complete(self, shell: ShellStats) -> None:
-        with self._lock:
-            self.shells_completed += 1
-            self.shell_seconds += shell.seconds
+        self._counters.add(shells_completed=1, shell_seconds=shell.seconds)
 
     def on_amortization(self, stats: AmortizationStats) -> None:
-        with self._lock:
-            self.plan_hits += stats.plan_hits
-            self.plan_misses += stats.plan_misses
-            if stats.pool_reused:
-                self.pool_reuses += 1
+        self._counters.add(
+            plan_hits=stats.plan_hits,
+            plan_misses=stats.plan_misses,
+            pool_reuses=int(stats.pool_reused),
+        )
 
     def on_schedule(self, stats: SchedulingStats) -> None:
-        with self._lock:
-            self.scheduled += 1
-            self.shared_batches += stats.shared_batches
-            self.preemptions += stats.preemptions
-            self.queue_seconds += stats.queue_seconds
+        self._counters.add(
+            scheduled=1,
+            shared_batches=stats.shared_batches,
+            preemptions=stats.preemptions,
+            queue_seconds=stats.queue_seconds,
+        )
 
     def on_fleet(self, stats: FleetStats) -> None:
-        with self._lock:
-            self.fleet_requests += 1
-            self.redispatched_chunks += stats.redispatched_chunks
-            self.hedged_batches += stats.hedged_batches
+        self._counters.add(
+            fleet_requests=1,
+            redispatched_chunks=stats.redispatched_chunks,
+            hedged_batches=stats.hedged_batches,
+        )
 
     def snapshot(self) -> dict[str, object]:
         """A consistent copy of every counter."""
-        with self._lock:
-            return {
-                "batches": self.batches,
-                "seeds_hashed": self.seeds_hashed,
-                "shells_completed": self.shells_completed,
-                "shell_seconds": self.shell_seconds,
-                "seeds_by_distance": dict(self.seeds_by_distance),
-                "plan_hits": self.plan_hits,
-                "plan_misses": self.plan_misses,
-                "pool_reuses": self.pool_reuses,
-                "scheduled": self.scheduled,
-                "shared_batches": self.shared_batches,
-                "preemptions": self.preemptions,
-                "queue_seconds": self.queue_seconds,
-                "fleet_requests": self.fleet_requests,
-                "redispatched_chunks": self.redispatched_chunks,
-                "hedged_batches": self.hedged_batches,
-            }
+        totals, by_distance = self._counters.snapshot()
+        snapshot: dict[str, object] = dict(totals)
+        snapshot["seeds_by_distance"] = {
+            distance: int(row["seeds_hashed"])
+            for distance, row in by_distance.items()
+        }
+        return snapshot

@@ -25,16 +25,18 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.analysis.metrics import percentile
 from repro.core.authentication import CertificateAuthority
 from repro.directory.errors import DirectoryUnavailable
 from repro.directory.prefetch import DirectoryPrefetcher
 from repro.engines.result import DirectoryStats
 from repro.net.errors import ServerClosed
 from repro.net.messages import AuthenticationResult
+from repro.obs import Counters
 from repro.reliability.breaker import CircuitBreaker, CircuitOpenError
 from repro.runtime.pool import PooledSearchExecutor
 from repro.sched.errors import (
@@ -43,7 +45,6 @@ from repro.sched.errors import (
     RequestShed,
 )
 from repro.tenancy.context import DEFAULT_TENANT, namespaced_key
-from repro.tenancy.ledger import TenantLedger
 from repro.tenancy.registry import TenantRegistry
 
 if TYPE_CHECKING:
@@ -53,136 +54,93 @@ if TYPE_CHECKING:
 __all__ = ["ServerMetrics", "ConcurrentCAServer"]
 
 
-@dataclass
-class ServerMetrics:
-    """Operational counters (thread-safe snapshots via the server)."""
+#: Most recent latency observations kept per tenant for percentiles.
+_LATENCY_WINDOW = 1024
 
-    submitted: int = 0
-    completed: int = 0
-    authenticated: int = 0
-    failed: int = 0
-    rejected_busy: int = 0
-    rejected_duplicate: int = 0
-    rejected_open: int = 0
-    total_search_seconds: float = 0.0
-    #: Engine-level telemetry read off each unified search result:
-    #: candidate seeds hashed and Hamming shells completed.
-    seeds_hashed: int = 0
-    shells_completed: int = 0
-    #: Amortized-pipeline telemetry (searches served by engines with a
-    #: mask-plan cache and/or warm worker pool; zero otherwise).
-    plan_hits: int = 0
-    plan_misses: int = 0
-    pool_reuses: int = 0
-    #: Scheduler-mode telemetry: requests shed (deadline or shutdown),
-    #: primary-request preemptions, and the deepest queue observed.
-    shed: int = 0
-    preempted: int = 0
-    queue_depth_peak: int = 0
-    #: Fleet-mode telemetry (zero unless the backend is a
-    #: :class:`~repro.fleet.engine.FleetSearchEngine`): chunks replayed
-    #: on a survivor after a device failure, and batches that were
-    #: hedge-duplicated onto an idle device.
-    redispatched: int = 0
-    hedged: int = 0
-    #: Enrollment-directory telemetry (zero unless the authority's image
-    #: store is a sharded directory): hot-cache hits/misses on the
-    #: serving path, reads served by a replica after the primary shard
-    #: was lost, stale/missing replica copies repaired in passing, and
-    #: requests shed because a key's whole replica set was down.
-    directory_hot_hits: int = 0
-    directory_hot_misses: int = 0
-    directory_failovers: int = 0
-    directory_read_repairs: int = 0
-    shed_directory: int = 0
-    #: Requests refused because their tenant's admission budget (token
-    #: bucket) or enrollment quota was exhausted.
-    shed_tenant_quota: int = 0
-    #: Durability telemetry (zero unless the enrollment store is a
-    #: WAL-backed :class:`~repro.durability.store.DurableImageStore`):
-    #: enrollments acknowledged durable over the wire, records recovered
-    #: at startup, and how long that recovery took.
-    enrollments: int = 0
-    recovered_records: int = 0
-    recovery_seconds: float = 0.0
-    #: Per-reason shed counts. Written only by :meth:`record_shed`, which
-    #: also increments ``shed`` — the two can never drift apart.
-    shed_reasons: dict[str, int] = field(default_factory=dict)
-    #: Per-tenant counters (submitted / shed / quota hits / latency
-    #: percentiles); fed by the same ``record`` / ``record_shed`` calls.
-    tenants: TenantLedger = field(default_factory=TenantLedger, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+#: Every stored ServerMetrics counter, declared once. ``shed``,
+#: ``shed_directory`` and ``shed_tenant_quota`` are not stored: a
+#: snapshot derives them from the per-reason shed counts.
+_COUNTERS: dict[str, type[int] | type[float]] = {
+    **dict.fromkeys(
+        (
+            # Requests admitted, finished, and refused at the door.
+            "submitted", "completed", "authenticated", "failed",
+            "rejected_busy", "rejected_duplicate", "rejected_open",
+            # Engine telemetry off each search result, and the mask-plan
+            # cache and warm pool of amortized engines.
+            "seeds_hashed", "shells_completed",
+            "plan_hits", "plan_misses", "pool_reuses",
+            # Scheduler and fleet modes: preemptions, deepest queue seen,
+            # chunks replayed after a device loss, hedged batches.
+            "preempted", "queue_depth_peak", "redispatched", "hedged",
+            # Sharded directory: hot-cache hits/misses, replica
+            # failovers, stale or missing replica copies repaired.
+            "directory_hot_hits", "directory_hot_misses",
+            "directory_failovers", "directory_read_repairs",
+            # WAL-backed store: durable enrollments, records recovered.
+            "enrollments", "recovered_records",
+        ),
+        int,
+    ),
+    "total_search_seconds": float,
+    "recovery_seconds": float,
+}
+
+
+class ServerMetrics:
+    """Operational counters, in total and per tenant (thread-safe).
+
+    The tenant is a label on one :class:`~repro.obs.Counters`. Sheds are
+    counted per ``(reason, tenant)`` and every shed total is derived from
+    those counts, so ``sum(shed_breakdown().values()) ==
+    snapshot()["shed"]`` holds by construction.
+    """
+
+    def __init__(self) -> None:
+        self._counters = Counters[str](**_COUNTERS)
+        self._sheds = Counters[tuple[str, str | None]](shed=int)
+        self._latencies: dict[str, deque[float]] = {}
+        self._latency_lock = threading.Lock()
 
     def record(
         self,
         *,
-        submitted: int = 0,
-        completed: int = 0,
-        authenticated: int = 0,
-        failed: int = 0,
-        rejected_busy: int = 0,
-        rejected_duplicate: int = 0,
-        rejected_open: int = 0,
         search_seconds: float = 0.0,
-        seeds_hashed: int = 0,
-        shells_completed: int = 0,
-        plan_hits: int = 0,
-        plan_misses: int = 0,
-        pool_reuses: int = 0,
-        preempted: int = 0,
         queue_depth: int = 0,
-        redispatched: int = 0,
-        hedged: int = 0,
-        directory_hot_hits: int = 0,
-        directory_hot_misses: int = 0,
-        directory_failovers: int = 0,
-        directory_read_repairs: int = 0,
         tenant_id: str | None = None,
+        **counts: int,
     ) -> None:
-        """Atomically increment counters — the one write path callers use.
+        """Atomically add to declared counters — the one write path.
 
-        ``queue_depth`` is a gauge observation, not an increment: the
-        peak-so-far is kept (max-merge), so callers report the depth they
-        saw and the snapshot exposes the high-water mark. ``tenant_id``
-        mirrors the per-request counters into the per-tenant ledger.
-
-        Sheds are deliberately *not* recordable here: every shed goes
-        through :meth:`record_shed`, which keeps the ``shed`` total and
-        the per-reason counts in lockstep.
+        ``search_seconds`` adds to ``total_search_seconds`` and, for a
+        completed request, joins the tenant's latency window.
+        ``queue_depth`` is a gauge observation kept as the
+        ``queue_depth_peak`` high-water mark. Sheds are not recordable
+        here (``record(shed=1)`` is a ``TypeError``): every shed goes
+        through :meth:`record_shed`.
         """
-        with self._lock:
-            self.submitted += submitted
-            self.completed += completed
-            self.authenticated += authenticated
-            self.failed += failed
-            self.rejected_busy += rejected_busy
-            self.rejected_duplicate += rejected_duplicate
-            self.rejected_open += rejected_open
-            self.total_search_seconds += search_seconds
-            self.seeds_hashed += seeds_hashed
-            self.shells_completed += shells_completed
-            self.plan_hits += plan_hits
-            self.plan_misses += plan_misses
-            self.pool_reuses += pool_reuses
-            self.preempted += preempted
-            self.redispatched += redispatched
-            self.hedged += hedged
-            self.directory_hot_hits += directory_hot_hits
-            self.directory_hot_misses += directory_hot_misses
-            self.directory_failovers += directory_failovers
-            self.directory_read_repairs += directory_read_repairs
-            if queue_depth > self.queue_depth_peak:
-                self.queue_depth_peak = queue_depth
-        if tenant_id is not None:
-            self.tenants.record(
+        self._counters.add(
+            tenant_id, total_search_seconds=search_seconds, **counts
+        )
+        if queue_depth:
+            self._counters.peak(queue_depth_peak=queue_depth)
+        if tenant_id is not None and counts.get("completed"):
+            with self._latency_lock:
+                self._latencies.setdefault(
+                    tenant_id, deque(maxlen=_LATENCY_WINDOW)
+                ).append(search_seconds)
+
+    def record_directory(
+        self, stats: DirectoryStats | None, tenant_id: str | None = None
+    ) -> None:
+        """One lookup's enrollment-directory telemetry, if it has any."""
+        if stats is not None:
+            self._counters.add(
                 tenant_id,
-                submitted=submitted,
-                completed=completed,
-                authenticated=authenticated,
-                failed=failed,
-                search_seconds=search_seconds,
-                directory_lookups=directory_hot_hits + directory_hot_misses,
-                latency_seconds=search_seconds if completed else None,
+                directory_hot_hits=int(stats.hot_hit),
+                directory_hot_misses=int(not stats.hot_hit),
+                directory_failovers=int(stats.source == "replica"),
+                directory_read_repairs=stats.read_repairs,
             )
 
     def record_shed(
@@ -193,96 +151,61 @@ class ServerMetrics:
         search_seconds: float = 0.0,
         tenant_id: str | None = None,
     ) -> None:
-        """The one write path for sheds: total + per-reason, atomically.
-
-        Every shed increments ``shed`` and ``shed_reasons[reason]`` in
-        the same critical section, so ``sum(shed_reasons.values()) ==
-        shed`` holds at every instant. Reason-specific convenience
-        counters (``shed_directory``, ``shed_tenant_quota``) are derived
-        here too, never written directly by callers.
-        """
-        with self._lock:
-            self.shed += 1
-            self.shed_reasons[reason] = self.shed_reasons.get(reason, 0) + 1
-            if reason == SHED_DIRECTORY_UNAVAILABLE:
-                self.shed_directory += 1
-            elif reason == SHED_TENANT_QUOTA:
-                self.shed_tenant_quota += 1
-            self.failed += failed
-            self.total_search_seconds += search_seconds
-        if tenant_id is not None:
-            self.tenants.record(
-                tenant_id,
-                shed=1,
-                failed=failed,
-                search_seconds=search_seconds,
-                quota_hits=1 if reason == SHED_TENANT_QUOTA else 0,
-            )
+        """The one write path for sheds: one count for ``reason``."""
+        self._counters.add(
+            tenant_id, failed=failed, total_search_seconds=search_seconds
+        )
+        self._sheds.add((reason, tenant_id), shed=1)
 
     def record_enrollment(self) -> None:
         """One enrollment acknowledged (durably, when the store has a WAL)."""
-        with self._lock:
-            self.enrollments += 1
+        self._counters.add(enrollments=1)
 
     def record_recovery(self, records: int, seconds: float) -> None:
         """Startup recovery outcome (records replayed, wall-clock cost)."""
-        with self._lock:
-            self.recovered_records = records
-            self.recovery_seconds = seconds
+        self._counters.set(recovered_records=records, recovery_seconds=seconds)
 
     def snapshot(self) -> dict[str, float]:
-        """A consistent copy of the counters."""
-        with self._lock:
-            return {
-                "submitted": self.submitted,
-                "completed": self.completed,
-                "authenticated": self.authenticated,
-                "failed": self.failed,
-                "rejected_busy": self.rejected_busy,
-                "rejected_duplicate": self.rejected_duplicate,
-                "rejected_open": self.rejected_open,
-                "total_search_seconds": self.total_search_seconds,
-                "seeds_hashed": self.seeds_hashed,
-                "shells_completed": self.shells_completed,
-                "plan_hits": self.plan_hits,
-                "plan_misses": self.plan_misses,
-                "pool_reuses": self.pool_reuses,
-                "shed": self.shed,
-                "preempted": self.preempted,
-                "queue_depth_peak": self.queue_depth_peak,
-                "redispatched": self.redispatched,
-                "hedged": self.hedged,
-                "directory_hot_hits": self.directory_hot_hits,
-                "directory_hot_misses": self.directory_hot_misses,
-                "directory_failovers": self.directory_failovers,
-                "directory_read_repairs": self.directory_read_repairs,
-                "shed_directory": self.shed_directory,
-                "shed_tenant_quota": self.shed_tenant_quota,
-                "enrollments": self.enrollments,
-                "recovered_records": self.recovered_records,
-                "recovery_seconds": self.recovery_seconds,
-            }
+        """A copy of the counters, shed totals included."""
+        counters, _ = self._counters.snapshot()
+        sheds = self.shed_breakdown()
+        counters["shed"] = sum(sheds.values())
+        counters["shed_directory"] = sheds.get(SHED_DIRECTORY_UNAVAILABLE, 0)
+        counters["shed_tenant_quota"] = sheds.get(SHED_TENANT_QUOTA, 0)
+        return counters
 
     def shed_breakdown(self) -> dict[str, int]:
         """Per-reason shed counts (sums exactly to ``snapshot()['shed']``)."""
-        with self._lock:
-            return dict(self.shed_reasons)
+        breakdown: dict[str, int] = {}
+        for (reason, _), row in self._sheds.snapshot()[1].items():
+            breakdown[reason] = breakdown.get(reason, 0) + int(row["shed"])
+        return breakdown
 
     def tenant_snapshot(self) -> dict[str, dict[str, float]]:
-        """Per-tenant counters (see :class:`~repro.tenancy.ledger.TenantLedger`)."""
-        return self.tenants.snapshot()
-
-
-def _directory_record_kwargs(stats: DirectoryStats | None) -> dict[str, int]:
-    """ServerMetrics increments for one lookup's directory telemetry."""
-    if stats is None:
-        return {}
-    return {
-        "directory_hot_hits": 1 if stats.hot_hit else 0,
-        "directory_hot_misses": 0 if stats.hot_hit else 1,
-        "directory_failovers": 1 if stats.source == "replica" else 0,
-        "directory_read_repairs": stats.read_repairs,
-    }
+        """Per-tenant counters, with latency percentiles once completed."""
+        rows = self._counters.snapshot()[1]
+        sheds = self._sheds.snapshot()[1]
+        with self._latency_lock:
+            windows = {t: list(w) for t, w in self._latencies.items()}
+        report: dict[str, dict[str, float]] = {}
+        for tenant in sorted(rows):
+            row = rows[tenant]
+            shed = {r: n["shed"] for (r, t), n in sheds.items() if t == tenant}
+            entry = {
+                name: row[name]
+                for name in ("submitted", "completed", "authenticated", "failed")
+            }
+            entry["shed"] = sum(shed.values())
+            entry["quota_hits"] = shed.get(SHED_TENANT_QUOTA, 0)
+            entry["directory_lookups"] = (
+                row["directory_hot_hits"] + row["directory_hot_misses"]
+            )
+            entry["search_seconds"] = row["total_search_seconds"]
+            if tenant in windows:
+                entry["p50_seconds"] = round(percentile(windows[tenant], 50), 6)
+                entry["p99_seconds"] = round(percentile(windows[tenant], 99), 6)
+            report[tenant] = entry
+        return report
 
 
 class ConcurrentCAServer:
@@ -455,8 +378,8 @@ class ConcurrentCAServer:
             submitted=1,
             queue_depth=int(self.scheduler.scheduler.snapshot()["queue_depth"]),
             tenant_id=tenant,
-            **_directory_record_kwargs(directory_stats),
         )
+        self.metrics.record_directory(directory_stats, tenant)
         future: Future = Future()
         future.set_running_or_notify_cancel()
         ticket.add_done_callback(
@@ -639,8 +562,8 @@ class ConcurrentCAServer:
                 1 if amortized is not None and amortized.pool_reused else 0
             ),
             tenant_id=tenant,
-            **_directory_record_kwargs(getattr(result, "directory", None)),
         )
+        self.metrics.record_directory(getattr(result, "directory", None), tenant)
         return AuthenticationResult(
             client_id=client_id,
             authenticated=result.found,

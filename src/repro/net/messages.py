@@ -476,7 +476,11 @@ class MetricsSnapshot:
     """CA -> admin: one consistent copy of the server's counters.
 
     ``counters`` mirrors ``ServerMetrics.snapshot()``; ``shed_reasons``
-    mirrors ``shed_breakdown()``. The optional fields — ``shed_reasons``,
+    mirrors ``shed_breakdown()``; ``tenants`` mirrors
+    ``tenant_snapshot()``, one row per tenant label of the server's
+    counter registry (:mod:`repro.obs`). Int counters serialize as JSON
+    integers and float counters as JSON floats; a golden test pins the
+    bytes. The optional fields — ``shed_reasons``,
     ``tenants``, ``false_authentications`` — are *omitted* from the frame
     when empty/zero, so a snapshot from a server predating a counter is
     byte-identical to one that merely has nothing to report (the same

@@ -373,6 +373,7 @@ def run_storm(
             clock.advance(transport.elapsed_seconds)
 
     succeeded = outcomes.get("authenticated", 0)
+    engine_counts = telemetry.snapshot()
     return ResilienceReport(
         plan=spec.name,
         seed=seed,
@@ -391,8 +392,8 @@ def run_storm(
         primary_searches=service.primary_searches,
         fallback_searches=service.fallback_searches,
         device_failures=primary.failures_injected,
-        engine_seeds_hashed=telemetry.seeds_hashed,
-        engine_shells_completed=telemetry.shells_completed,
+        engine_seeds_hashed=engine_counts["seeds_hashed"],
+        engine_shells_completed=engine_counts["shells_completed"],
     )
 
 

@@ -26,6 +26,7 @@ streaming mask generation.
 from __future__ import annotations
 
 import atexit
+import os
 import threading
 from collections import OrderedDict
 from collections.abc import Iterator
@@ -369,6 +370,22 @@ def global_plan_cache() -> MaskPlanCache:
 
 # -- worker-side attachment --------------------------------------------
 
+#: Whether this process was forked while its parent's resource tracker
+#: was running (the parent had created a shared segment): then the two
+#: share one tracker, and the parent's registrations are not ours to drop.
+_shares_parent_tracker = False
+
+
+def _note_inherited_tracker() -> None:
+    global _shares_parent_tracker
+    from multiprocessing import resource_tracker
+
+    tracker = resource_tracker._resource_tracker  # type: ignore[attr-defined]
+    _shares_parent_tracker = getattr(tracker, "_fd", None) is not None
+
+
+os.register_at_fork(after_in_child=_note_inherited_tracker)
+
 
 def attach_plan(descriptor: PlanDescriptor) -> MaskPlan | None:
     """Map a shared plan built by the parent; None if it was evicted.
@@ -382,15 +399,17 @@ def attach_plan(descriptor: PlanDescriptor) -> MaskPlan | None:
         shm = shared_memory.SharedMemory(name=descriptor.shm_name)
     except (OSError, ValueError, ImportError):
         return None
-    # Attaching re-registers the segment with this process's resource
+    # Attaching registers the segment with this process's resource
     # tracker, which would unlink it a second time at worker exit;
-    # unregister — the creating process owns cleanup.
-    try:
-        from multiprocessing import resource_tracker
+    # unregister — the creating process owns cleanup. A tracker shared
+    # with the parent holds the parent's own registration: leave it.
+    if not _shares_parent_tracker:
+        try:
+            from multiprocessing import resource_tracker
 
-        resource_tracker.unregister(shm._name, "shared_memory")  # type: ignore[attr-defined]
-    except Exception:
-        pass
+            resource_tracker.unregister(shm._name, "shared_memory")  # type: ignore[attr-defined]
+        except Exception:
+            pass
     masks = np.ndarray(
         (descriptor.rows, SEED_WORDS64), dtype=np.uint64, buffer=shm.buf
     )

@@ -13,10 +13,13 @@ One tenant model threads through every serving layer:
   shared object every layer consults: the wire front door resolves
   tenant ids, admission charges buckets, lanes read weights, and the
   directory checks enrollment caps.
-* :mod:`repro.tenancy.ledger` — :class:`TenantLedger`, per-tenant
-  serving counters (submitted/shed/quota hits/latency percentiles).
 * :mod:`repro.tenancy.workload` — the noisy-neighbor storm used by the
   tenancy benchmark and the smoke gate.
+
+Per-tenant serving counters (submitted, shed, quota hits, latency
+percentiles) are not kept here: the tenant is a label on
+:class:`~repro.net.concurrent.ServerMetrics`' counters, read back with
+``tenant_snapshot()``.
 """
 
 from repro.tenancy.bucket import TokenBucket
@@ -35,7 +38,6 @@ from repro.tenancy.errors import (
     TenantQuotaExceeded,
     UnknownTenant,
 )
-from repro.tenancy.ledger import TenantLedger
 from repro.tenancy.registry import TenantRegistry
 
 __all__ = [
@@ -44,7 +46,6 @@ __all__ = [
     "TenantContext",
     "TenantQuota",
     "TokenBucket",
-    "TenantLedger",
     "TenantRegistry",
     "TenancyError",
     "TenantQuotaExceeded",

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -143,6 +145,30 @@ class TestMaskPlanCache:
         detach_plan(attached)
         assert attached.shm is None
         cache.clear()
+
+    def test_pool_beside_plan_cache_tears_down_cleanly(self):
+        """Forked workers sharing the parent's resource tracker leave its
+        registrations alone, so the exit prints no tracker KeyErrors."""
+        script = (
+            "from repro.engines import build_engine, engine_target\n"
+            "engines = [build_engine(s) for s in (\n"
+            "    'batch:sha1,bs=4096,cache=yes',\n"
+            "    'pool:sha1,workers=2,bs=4096',\n"
+            ")]\n"
+            "for engine in engines:\n"
+            "    target = engine_target(engine, bytes(31) + b'\\x01')\n"
+            "    engine.search(bytes(range(32)), target, 2)\n"
+            "for engine in engines:\n"
+            "    getattr(engine, 'close', lambda: None)()\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "Traceback" not in completed.stderr
 
     def test_global_cache_is_a_singleton(self):
         assert global_plan_cache() is global_plan_cache()

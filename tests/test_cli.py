@@ -1,4 +1,5 @@
-"""CLI argument validation: bad counts and seeds are argparse errors."""
+"""CLI argument validation: bad counts, seeds, depths and budgets are
+argparse errors."""
 
 import pytest
 
@@ -21,6 +22,11 @@ from repro.cli import main
         ["deploy", "--loadgens", "0"],
         ["demo", "--seed", "-5"],
         ["search", "--seed", "x"],
+        ["sched", "--depths", "1,x"],
+        ["sched", "--batch-size", "0"],
+        ["sched", "--budget", "-1"],
+        ["fleet", "--batch-size", "0"],
+        ["fleet", "--budget", "-1"],
     ],
 )
 def test_bad_count_or_seed_exits_2_without_traceback(argv, capsys):
@@ -29,4 +35,13 @@ def test_bad_count_or_seed_exits_2_without_traceback(argv, capsys):
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {argv[1]}" in err
+    assert "Traceback" not in err
+
+
+def test_replication_beyond_shards_exits_2_without_traceback(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["directory", "--shards", "2", "--replication", "5"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --replication" in err
     assert "Traceback" not in err

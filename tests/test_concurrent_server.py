@@ -13,6 +13,7 @@ from repro.core.salting import HashChainSalt
 from repro.keygen.interface import get_keygen
 from repro.net.concurrent import ConcurrentCAServer, ServerMetrics
 from repro.net.errors import ServerClosed
+from repro.net.messages import MetricsSnapshot
 from repro.puf.image_db import EncryptedImageDatabase
 from repro.puf.model import SRAMPuf
 from repro.puf.ternary import enroll_with_masking
@@ -309,6 +310,121 @@ class TestServerMetricsRecord:
         assert quota_hits == metrics.shed_breakdown()["tenant_quota"]
         for stats in per_tenant.values():
             assert stats["p99_seconds"] == pytest.approx(0.001)
+
+
+class TestMetricsSnapshotGolden:
+    """The wire bytes of a fixed ServerMetrics history never change.
+
+    The literals were captured from the hand-listed counters before they
+    moved onto the ``repro.obs`` registry; int-vs-float JSON values
+    (``3`` vs ``3.0``) and every snapshot key are part of the contract
+    that scrapers (storm gates, perfbench) read.
+    """
+
+    @staticmethod
+    def _feed(metrics: ServerMetrics) -> None:
+        metrics.record(submitted=3, tenant_id="gold")
+        metrics.record(submitted=2, tenant_id="brass")
+        metrics.record(submitted=1)
+        metrics.record(completed=1, authenticated=1, search_seconds=0.1,
+                       seeds_hashed=257, shells_completed=2,
+                       tenant_id="gold")
+        metrics.record(completed=1, authenticated=0, search_seconds=0.2,
+                       seeds_hashed=4097, shells_completed=3,
+                       tenant_id="gold")
+        metrics.record(completed=1, authenticated=1, search_seconds=0.3,
+                       plan_hits=4, plan_misses=1, pool_reuses=1,
+                       directory_hot_hits=1, tenant_id="brass")
+        metrics.record(failed=1, search_seconds=0.05, tenant_id="brass")
+        metrics.record(rejected_busy=1, rejected_duplicate=2,
+                       rejected_open=3)
+        metrics.record(rejected_open=1, failed=1, tenant_id="gold")
+        metrics.record(preempted=2, queue_depth=7, tenant_id="gold")
+        metrics.record(queue_depth=3)
+        metrics.record(redispatched=3, hedged=2)
+        metrics.record(directory_hot_hits=4, directory_hot_misses=2,
+                       directory_failovers=1, directory_read_repairs=2,
+                       tenant_id="gold")
+        metrics.record_shed("deadline_expired", failed=1,
+                            search_seconds=0.7, tenant_id="gold")
+        metrics.record_shed("tenant_quota", tenant_id="brass")
+        metrics.record_shed("tenant_quota", tenant_id="brass")
+        metrics.record_shed("directory_unavailable", failed=1,
+                            search_seconds=0.01, tenant_id="gold")
+        metrics.record_shed("saturated", tenant_id="tin")
+        metrics.record_enrollment()
+        metrics.record_enrollment()
+        metrics.record_recovery(records=7, seconds=0.25)
+
+    @staticmethod
+    def _frame(metrics: ServerMetrics, include_tenants: bool) -> bytes:
+        return MetricsSnapshot(
+            counters=metrics.snapshot(),
+            shed_reasons=metrics.shed_breakdown(),
+            tenants=metrics.tenant_snapshot() if include_tenants else {},
+        ).to_bytes()
+
+    GOLDEN = (
+        b'{"counters":{"authenticated":2,"completed":3,'
+        b'"directory_failovers":1,"directory_hot_hits":5,'
+        b'"directory_hot_misses":2,"directory_read_repairs":2,'
+        b'"enrollments":2,"failed":4,"hedged":2,"plan_hits":4,'
+        b'"plan_misses":1,"pool_reuses":1,"preempted":2,'
+        b'"queue_depth_peak":7,"recovered_records":7,'
+        b'"recovery_seconds":0.25,"redispatched":3,"rejected_busy":1,'
+        b'"rejected_duplicate":2,"rejected_open":4,"seeds_hashed":4354,'
+        b'"shed":5,"shed_directory":1,"shed_tenant_quota":2,'
+        b'"shells_completed":5,"submitted":6,'
+        b'"total_search_seconds":1.36},"crc":"08876888",'
+        b'"shed_reasons":{"deadline_expired":1,'
+        b'"directory_unavailable":1,"saturated":1,"tenant_quota":2},'
+        b'"type":"metrics_snapshot"}'
+    )
+
+    GOLDEN_TENANTS = (
+        b'{"counters":{"authenticated":2,"completed":3,'
+        b'"directory_failovers":1,"directory_hot_hits":5,'
+        b'"directory_hot_misses":2,"directory_read_repairs":2,'
+        b'"enrollments":2,"failed":4,"hedged":2,"plan_hits":4,'
+        b'"plan_misses":1,"pool_reuses":1,"preempted":2,'
+        b'"queue_depth_peak":7,"recovered_records":7,'
+        b'"recovery_seconds":0.25,"redispatched":3,"rejected_busy":1,'
+        b'"rejected_duplicate":2,"rejected_open":4,"seeds_hashed":4354,'
+        b'"shed":5,"shed_directory":1,"shed_tenant_quota":2,'
+        b'"shells_completed":5,"submitted":6,'
+        b'"total_search_seconds":1.36},"crc":"ed5f7bc6",'
+        b'"shed_reasons":{"deadline_expired":1,'
+        b'"directory_unavailable":1,"saturated":1,"tenant_quota":2},'
+        b'"tenants":{"brass":{"authenticated":1,"completed":1,'
+        b'"directory_lookups":1,"failed":1,"p50_seconds":0.3,'
+        b'"p99_seconds":0.3,"quota_hits":2,"search_seconds":0.35,'
+        b'"shed":2,"submitted":2},"gold":{"authenticated":1,'
+        b'"completed":2,"directory_lookups":6,"failed":3,'
+        b'"p50_seconds":0.15,"p99_seconds":0.199,"quota_hits":0,'
+        b'"search_seconds":1.01,"shed":2,"submitted":3},'
+        b'"tin":{"authenticated":0,"completed":0,"directory_lookups":0,'
+        b'"failed":0,"quota_hits":0,"search_seconds":0.0,"shed":1,'
+        b'"submitted":0}},"type":"metrics_snapshot"}'
+    )
+
+    def test_counters_frame_is_byte_identical(self):
+        metrics = ServerMetrics()
+        self._feed(metrics)
+        assert self._frame(metrics, include_tenants=False) == self.GOLDEN
+
+    def test_tenant_frame_is_byte_identical(self):
+        metrics = ServerMetrics()
+        self._feed(metrics)
+        assert (
+            self._frame(metrics, include_tenants=True) == self.GOLDEN_TENANTS
+        )
+
+    def test_shed_total_is_the_breakdown_sum(self):
+        metrics = ServerMetrics()
+        self._feed(metrics)
+        assert sum(metrics.shed_breakdown().values()) == (
+            metrics.snapshot()["shed"]
+        )
 
 
 class TestAdmissionControlUnderConcurrency:

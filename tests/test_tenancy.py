@@ -17,7 +17,7 @@ from repro.directory.sharded import ShardedEnrollmentDirectory
 from repro.engines import build_engine
 from repro.hashes.registry import get_hash
 from repro.keygen.interface import get_keygen
-from repro.net.concurrent import ConcurrentCAServer
+from repro.net.concurrent import ConcurrentCAServer, ServerMetrics
 from repro.net.messages import DigestSubmission, HandshakeRequest
 from repro.puf.image_db import EncryptedImageDatabase
 from repro.puf.model import SRAMPuf
@@ -32,7 +32,6 @@ from repro.sched.policy import SchedulingPolicy
 from repro.tenancy import (
     DEFAULT_TENANT,
     TenantContext,
-    TenantLedger,
     TenantQuota,
     TenantRegistry,
     TokenBucket,
@@ -199,17 +198,17 @@ class TestTenantRegistry:
         assert contexts[0].tenant_id == DEFAULT_TENANT
 
 
-class TestTenantLedger:
+class TestServerMetricsTenants:
     def test_attribution_and_percentiles(self):
-        ledger = TenantLedger()
+        metrics = ServerMetrics()
         for latency in (0.010, 0.020, 0.030):
-            ledger.record(
-                "gold", submitted=1, completed=1, authenticated=1,
-                search_seconds=latency, latency_seconds=latency,
+            metrics.record(
+                submitted=1, completed=1, authenticated=1,
+                search_seconds=latency, tenant_id="gold",
             )
-        ledger.record("brass", shed=1, quota_hits=1)
-        assert ledger.tenant_ids() == ("brass", "gold")
-        snapshot = ledger.snapshot()
+        metrics.record_shed(SHED_TENANT_QUOTA, tenant_id="brass")
+        snapshot = metrics.tenant_snapshot()
+        assert tuple(snapshot) == ("brass", "gold")
         assert snapshot["gold"]["completed"] == 3
         assert snapshot["gold"]["p50_seconds"] == pytest.approx(0.020)
         assert snapshot["brass"]["shed"] == 1
