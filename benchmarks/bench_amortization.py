@@ -26,13 +26,12 @@ regression) and under pytest with the usual report plumbing::
 from __future__ import annotations
 
 import argparse
-import json
-import sys
 import time
 from pathlib import Path
 
 from repro._bitutils import flip_bits
 from repro.engines import build_engine, engine_target
+from repro.gates import Gate, exit_code, render_verdict, write_record
 from repro.runtime.maskplan import MaskPlanCache
 from repro.runtime.pool import PooledSearchExecutor, default_worker_count
 
@@ -206,19 +205,14 @@ def main(argv: list[str] | None = None) -> int:
         warm_searches=args.searches,
         include_parallel_baseline=not args.no_parallel_baseline,
     )
-    record["min_ratio"] = args.min_ratio
-    record["pass"] = record["warm_over_cold"] >= args.min_ratio
-    args.output.write_text(json.dumps(record, indent=2) + "\n")
+    gates = [
+        Gate("warm_over_cold", record["warm_over_cold"], args.min_ratio, ">=")
+    ]
+    write_record(args.output, "amortization", record, gates)
     print(format_record(record))
+    print(render_verdict(gates))
     print(f"  wrote {args.output}")
-    if not record["pass"]:
-        print(
-            f"REGRESSION: warm/cold {record['warm_over_cold']:.2f}x "
-            f"< required {args.min_ratio:.2f}x",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return exit_code(gates)
 
 
 if __name__ == "__main__":

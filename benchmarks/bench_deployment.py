@@ -9,148 +9,40 @@ end-to-end p50/p99 (client-observed wall clock, including WAN emulation
 and retries), completed-request throughput, and the server-side
 shed/redispatch/failover counters scraped over the admin metrics frame.
 
-Gates (exit 1 on any):
+Gates (:attr:`repro.deploy.storm.ProfileReport.gates`, exit 1 on any):
 
 * zero false authentications on every profile;
 * zero untyped client-observed failures;
 * every server drains and exits 0 under SIGTERM;
 * the ``lan`` profile authenticates 100% of requests.
 
-Runs standalone for CI (writes ``BENCH_deployment.json``) and under
-pytest at reduced scale with the usual report plumbing::
+The ``BENCH_deployment.json`` record comes from the CLI::
 
-    PYTHONPATH=src python benchmarks/bench_deployment.py --help
+    PYTHONPATH=src python -m repro deploy --storm --output BENCH_deployment.json
+
+This file is the reduced-scale pytest entry, with the usual report
+plumbing.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from pathlib import Path
-
-from repro.deploy.storm import DEFAULT_PROFILES, run_deployment_storm
+from repro.deploy.storm import run_deployment_storm
 from repro.deploy.topology import TopologySpec
-
-FULL_SCALE = {
-    "requests": 36,
-    "duration_seconds": 6.0,
-    "clients": 8,
-    "num_loadgens": 2,
-}
-
-
-def run_benchmark(
-    profiles: tuple[str, ...] = DEFAULT_PROFILES,
-    requests: int = FULL_SCALE["requests"],
-    duration_seconds: float = FULL_SCALE["duration_seconds"],
-    clients: int = FULL_SCALE["clients"],
-    num_loadgens: int = FULL_SCALE["num_loadgens"],
-    servers: int = 1,
-    seed: int = 0,
-    time_budget: float = 5.0,
-    scratch_dir: Path | None = None,
-    log=None,
-) -> dict:
-    topology = TopologySpec(
-        servers=servers, clients=clients, time_budget=time_budget
-    )
-    report = run_deployment_storm(
-        topology,
-        profiles=profiles,
-        seed=seed,
-        requests=requests,
-        duration_seconds=duration_seconds,
-        num_loadgens=num_loadgens,
-        scratch_dir=scratch_dir,
-        log=log,
-    )
-    record = report.to_json()
-    record["pass"] = report.passed
-    return record
-
-
-def format_record(record: dict) -> str:
-    lines = [f"deployment storm: {record['topology']}"]
-    for profile in record["profiles"]:
-        outcomes = ", ".join(
-            f"{k}={v}" for k, v in profile["outcomes"].items()
-        )
-        lines.append(
-            f"  [{profile['profile']}] {outcomes}\n"
-            f"    p50={profile['latency_p50_ms']:.1f}ms "
-            f"p99={profile['latency_p99_ms']:.1f}ms "
-            f"throughput={profile['throughput_rps']:.2f}req/s "
-            f"false_auths={profile['false_authentications']} "
-            f"drained={profile['drained']}"
-        )
-        for failure in profile["gate_failures"]:
-            lines.append(f"    GATE: {failure}")
-    lines.append(f"  verdict: {'PASS' if record['pass'] else 'FAIL'}")
-    return "\n".join(lines)
 
 
 def test_deployment_lan_storm(report, tmp_path):
     """Reduced-scale pytest entry: lan-only, real processes end to end."""
-    record = run_benchmark(
+    storm = run_deployment_storm(
+        TopologySpec(servers=1, clients=4, time_budget=3.0),
         profiles=("lan",),
         requests=6,
         duration_seconds=1.5,
-        clients=4,
         num_loadgens=1,
-        time_budget=3.0,
         scratch_dir=tmp_path,
     )
-    report("deployment", format_record(record))
-    assert record["pass"], record["profiles"][0]["gate_failures"]
-    lan = record["profiles"][0]
-    assert lan["false_authentications"] == 0
-    assert lan["outcomes"].get("authenticated", 0) == lan["requests"]
-    assert lan["drained"]
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="End-to-end deployment storm over real processes."
-    )
-    parser.add_argument("--profiles",
-                        default=",".join(DEFAULT_PROFILES))
-    parser.add_argument("--requests", type=int,
-                        default=FULL_SCALE["requests"])
-    parser.add_argument("--duration", type=float,
-                        default=FULL_SCALE["duration_seconds"])
-    parser.add_argument("--clients", type=int,
-                        default=FULL_SCALE["clients"])
-    parser.add_argument("--loadgens", type=int,
-                        default=FULL_SCALE["num_loadgens"])
-    parser.add_argument("--servers", type=int, default=1)
-    parser.add_argument("--budget", type=float, default=5.0)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--output", type=Path,
-                        default=Path("BENCH_deployment.json"))
-    args = parser.parse_args(argv)
-
-    record = run_benchmark(
-        profiles=tuple(
-            p.strip() for p in args.profiles.split(",") if p.strip()
-        ),
-        requests=args.requests,
-        duration_seconds=args.duration,
-        clients=args.clients,
-        num_loadgens=args.loadgens,
-        servers=args.servers,
-        seed=args.seed,
-        time_budget=args.budget,
-        log=print,
-    )
-    args.output.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    print(format_record(record))
-    print(f"  wrote {args.output}")
-    if not record["pass"]:
-        print("REGRESSION: deployment gates failed", file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    report("deployment", storm.render())
+    assert storm.passed, storm.render()
+    lan = storm.profiles[0]
+    assert lan.false_authentications == 0
+    assert lan.outcomes.get("authenticated", 0) == lan.requests
+    assert lan.drained

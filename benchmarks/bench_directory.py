@@ -25,7 +25,6 @@ gate failure) and under pytest with the usual report plumbing::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -35,6 +34,7 @@ import numpy as np
 from repro.analysis.metrics import percentile
 from repro.directory import DirectoryUnavailable, ShardedEnrollmentDirectory
 from repro.directory.storm import _pick_victims
+from repro.gates import Gate, exit_code, render_verdict, write_record
 from repro.puf.ternary import TernaryMask
 
 FULL_SCALE = {
@@ -231,7 +231,7 @@ def run_benchmark(
         directory, client_ids, rounds, churn_per_round, rng
     )
     availability = _availability_section(directory, client_ids)
-    record = {
+    return {
         "config": {
             "clients": clients,
             "shards": shards,
@@ -251,24 +251,32 @@ def run_benchmark(
             if key != "shards_detail"
         },
     }
+
+
+def directory_gates(record: dict) -> list[Gate]:
+    """Cache gates, then availability through each shard-loss phase."""
+    availability = record["availability"]
     one_down = availability["one_shard_down"]
     two_down = availability["replica_set_down"]
     recovered = availability["recovered"]
-    record["pass"] = (
-        steady["hit_rate"] >= 0.9
-        and latency["speedup"] > 1.0
+    return [
+        Gate("hit_rate", record["steady_state"]["hit_rate"], 0.9, ">="),
+        Gate("hot_hit_speedup", record["latency"]["speedup"], 1.0, ">"),
         # one shard down: every key still served, via real failover.
-        and one_down["availability"] == 1.0
-        and one_down["errors"] == 0
-        and one_down["failovers"] > 0
+        Gate("one_shard_down_availability", one_down["availability"], 1.0),
+        Gate("one_shard_down_errors", one_down["errors"], 0),
+        Gate("one_shard_down_failovers", one_down["failovers"], 0, ">"),
         # replica set down: exactly the doomed keys go (typed) unavailable.
-        and two_down["unavailable"] == availability["doomed_keys"]
-        and two_down["errors"] == 0
+        Gate(
+            "replica_set_down_unavailable",
+            two_down["unavailable"],
+            availability["doomed_keys"],
+        ),
+        Gate("replica_set_down_errors", two_down["errors"], 0),
         # revive restores full availability.
-        and recovered["availability"] == 1.0
-        and recovered["errors"] == 0
-    )
-    return record
+        Gate("recovered_availability", recovered["availability"], 1.0),
+        Gate("recovered_errors", recovered["errors"], 0),
+    ]
 
 
 def format_record(record: dict) -> str:
@@ -304,8 +312,8 @@ def format_record(record: dict) -> str:
         f"  recovered: availability {recovered['availability']:.1%}, "
         f"{recovered['read_repairs']} read repairs, "
         f"{recovered['errors']} errors",
-        f"  wall: {record['wall_seconds']:.2f}s  "
-        f"verdict: {'PASS' if record['pass'] else 'FAIL'}",
+        f"  wall: {record['wall_seconds']:.2f}s",
+        render_verdict(directory_gates(record)),
     ]
     return "\n".join(lines)
 
@@ -357,19 +365,11 @@ def main(argv: list[str] | None = None) -> int:
         churn_per_round=args.churn_per_round,
         seed=args.seed,
     )
-    args.output.write_text(json.dumps(record, indent=2) + "\n")
+    gates = directory_gates(record)
+    write_record(args.output, "directory", record, gates)
     print(format_record(record))
     print(f"  wrote {args.output}")
-    if not record["pass"]:
-        print(
-            "REGRESSION: directory gates failed "
-            f"(hit_rate={record['steady_state']['hit_rate']:.3f}, "
-            f"one_down={record['availability']['one_shard_down']}, "
-            f"two_down={record['availability']['replica_set_down']})",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return exit_code(gates)
 
 
 if __name__ == "__main__":

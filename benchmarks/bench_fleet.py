@@ -28,13 +28,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
-import sys
 import time
 from pathlib import Path
 
 from repro.analysis.metrics import percentile
 from repro.fleet import FleetSearchEngine
+from repro.gates import Gate, exit_code, render_verdict, write_record
 from repro.hashes.registry import get_hash
 from repro.sched.errors import RequestShed
 from repro.sched.workload import mixed_workload
@@ -192,15 +191,23 @@ def run_benchmark(
         section["false_authentications"]
         for section in (single, dual, unhedged, hedged)
     )
-    record["pass"] = (
-        record["lost_requests"] == 0
-        and record["false_authentications"] == 0
-        and scaling_ratio is not None
-        and scaling_ratio >= 0.9
-        and hedged["hedges_launched"] > 0
-        and hedged["p99_seconds"] <= unhedged["p99_seconds"]
-    )
     return record
+
+
+def fleet_gates(record: dict) -> list[Gate]:
+    """The CI gates: protocol invariants, then scaling and hedging."""
+    return [
+        Gate("lost_requests", record["lost_requests"], 0),
+        Gate("false_authentications", record["false_authentications"], 0),
+        Gate("scaling_ratio", record["scaling_ratio"], 0.9, ">="),
+        Gate("hedges_launched", record["hedged"]["hedges_launched"], 0, ">"),
+        Gate(
+            "hedged_p99_seconds",
+            record["hedged"]["p99_seconds"],
+            record["unhedged"]["p99_seconds"],
+            "<=",
+        ),
+    ]
 
 
 def format_record(record: dict) -> str:
@@ -235,8 +242,8 @@ def format_record(record: dict) -> str:
         f"({record['hedged']['hedges_launched']} hedges, "
         f"{record['hedged']['hedge_wins']} wins)",
         f"  lost={record['lost_requests']} "
-        f"false_auths={record['false_authentications']} "
-        f"verdict: {'PASS' if record['pass'] else 'FAIL'}",
+        f"false_auths={record['false_authentications']}",
+        render_verdict(fleet_gates(record)),
     ]
     return "\n".join(lines)
 
@@ -292,20 +299,11 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
         slow_factor=args.slow_factor,
     )
-    args.output.write_text(json.dumps(record, indent=2) + "\n")
+    gates = fleet_gates(record)
+    write_record(args.output, "fleet", record, gates)
     print(format_record(record))
     print(f"  wrote {args.output}")
-    if not record["pass"]:
-        print(
-            "REGRESSION: fleet gates failed "
-            f"(lost={record['lost_requests']}, "
-            f"false={record['false_authentications']}, "
-            f"scaling={record['scaling_ratio']}, "
-            f"hedges={record['hedged']['hedges_launched']})",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return exit_code(gates)
 
 
 if __name__ == "__main__":

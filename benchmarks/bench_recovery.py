@@ -8,7 +8,8 @@ at recovery and the recovery wall time; overall: acknowledged-enrollment
 throughput under ``fsync=always`` versus the no-fsync lossy baseline
 (the price of durability), restart count, and total backoff slept.
 
-Gates (exit 1 on any):
+Gates (:attr:`repro.deploy.storm.CrashStormReport.gates`, exit 1 on
+any):
 
 * zero acknowledged enrollments lost across all kill-9 rounds;
 * zero nonce-reuse tripwire firings (the crypto-safety invariant);
@@ -16,141 +17,40 @@ Gates (exit 1 on any):
   succeeds;
 * every surviving server drains and exits 0 under SIGTERM.
 
-Runs standalone for CI (writes ``BENCH_recovery.json``) and under pytest
-at reduced scale with the usual report plumbing::
+The ``BENCH_recovery.json`` record comes from the CLI::
 
-    PYTHONPATH=src python benchmarks/bench_recovery.py --help
+    PYTHONPATH=src python -m repro deploy --storm --crash --engine fifo \\
+        --output BENCH_recovery.json
+
+This file is the reduced-scale pytest entry, with the usual report
+plumbing.
 """
 
 from __future__ import annotations
-
-import argparse
-import json
-import sys
-from pathlib import Path
 
 from repro.deploy.storm import run_crash_storm
 from repro.deploy.supervisor import RestartPolicy
 from repro.deploy.topology import TopologySpec
 
-FULL_SCALE = {
-    "clients": 8,
-    "crashes": 3,
-    "auth_requests": 4,
-}
-
-
-def run_benchmark(
-    clients: int = FULL_SCALE["clients"],
-    crashes: int = FULL_SCALE["crashes"],
-    auth_requests: int = FULL_SCALE["auth_requests"],
-    servers: int = 1,
-    fsync: str = "always",
-    seed: int = 0,
-    scratch_dir: Path | None = None,
-    log=None,
-) -> dict:
-    topology = TopologySpec(
-        servers=servers,
-        engine="fifo",
-        wan_profile="lan",
-        clients=clients,
-        durability=fsync,
-    )
-    report = run_crash_storm(
-        topology,
-        seed=seed,
-        crashes=crashes,
-        auth_requests=auth_requests,
-        restart_policy=RestartPolicy(max_restarts=2 * crashes + 2, seed=seed),
-        scratch_dir=scratch_dir,
-        log=log,
-    )
-    record = report.to_json()
-    record["pass"] = report.passed
-    return record
-
-
-def format_record(record: dict) -> str:
-    lines = [f"crash-restart storm: {record['topology']}"]
-    for entry in record["rounds"]:
-        lines.append(
-            f"  round {entry['round']}: {entry['victim']} killed after "
-            f"{entry['acked_before_kill']} ack(s), recovered "
-            f"{entry['recovered_records']} record(s) in "
-            f"{entry['recovery_seconds'] * 1000:.1f}ms, "
-            f"lost {entry['lost_acknowledged']}"
-        )
-    lines.append(
-        f"  acked={record['acknowledged_total']} "
-        f"lost={record['lost_acknowledged']} "
-        f"nonce_reuse={record['nonce_reuse_trips']} "
-        f"false_auths={record['false_authentications']} "
-        f"restarts={record['restarts']} drained={record['drained']}"
-    )
-    lines.append(
-        f"  durable={record['durable_enroll_rps']:.1f} enroll/s "
-        f"lossy={record['lossy_enroll_rps']:.1f} enroll/s "
-        f"fsync_cost={record['durability_overhead_pct']:+.1f}%"
-    )
-    for failure in record["gate_failures"]:
-        lines.append(f"  GATE: {failure}")
-    lines.append(f"  verdict: {'PASS' if record['pass'] else 'FAIL'}")
-    return "\n".join(lines)
-
 
 def test_recovery_crash_storm(report, tmp_path):
     """Reduced-scale pytest entry: 2 kill-9 rounds, real processes."""
-    record = run_benchmark(
-        clients=4,
+    storm = run_crash_storm(
+        TopologySpec(
+            servers=1,
+            engine="fifo",
+            wan_profile="lan",
+            clients=4,
+            durability="always",
+        ),
         crashes=2,
         auth_requests=2,
+        restart_policy=RestartPolicy(max_restarts=6, seed=0),
         scratch_dir=tmp_path,
     )
-    report("recovery", format_record(record))
-    assert record["pass"], record["gate_failures"]
-    assert record["lost_acknowledged"] == 0
-    assert record["nonce_reuse_trips"] == 0
-    assert record["false_authentications"] == 0
-    assert all(r["recovered_records"] > 0 for r in record["rounds"])
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Kill-9 crash-restart storm over real processes."
-    )
-    parser.add_argument("--clients", type=int,
-                        default=FULL_SCALE["clients"])
-    parser.add_argument("--crashes", type=int,
-                        default=FULL_SCALE["crashes"])
-    parser.add_argument("--auth-requests", type=int,
-                        default=FULL_SCALE["auth_requests"],
-                        dest="auth_requests")
-    parser.add_argument("--servers", type=int, default=1)
-    parser.add_argument("--fsync", default="always",
-                        help="WAL fsync policy: always or interval[:secs]")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--output", type=Path,
-                        default=Path("BENCH_recovery.json"))
-    args = parser.parse_args(argv)
-
-    record = run_benchmark(
-        clients=args.clients,
-        crashes=args.crashes,
-        auth_requests=args.auth_requests,
-        servers=args.servers,
-        fsync=args.fsync,
-        seed=args.seed,
-        log=print,
-    )
-    args.output.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    print(format_record(record))
-    print(f"  wrote {args.output}")
-    if not record["pass"]:
-        print("REGRESSION: recovery gates failed", file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    report("recovery", storm.render())
+    assert storm.passed, storm.render()
+    assert storm.lost_acknowledged == 0
+    assert storm.nonce_reuse_trips == 0
+    assert storm.false_authentications == 0
+    assert all(r.recovered_records > 0 for r in storm.rounds)

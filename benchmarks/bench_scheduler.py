@@ -16,9 +16,11 @@ round-robin, seeds planted at seeded-random shell positions):
 * **scheduled** — all requests admitted at once, served by the
   ``sched:`` engine's EDF lanes and fused batches.
 
-The headline number is the shallow-class p99 ratio. Runs standalone for
-CI (writes ``BENCH_scheduler.json``, exits 1 when the scheduler fails to
-beat FIFO) and under pytest with the usual report plumbing::
+The headline number is the shallow-class p99 ratio. The measurement,
+its gate and its rendering live in :mod:`repro.sched.workload`, shared
+with ``repro sched``. Runs standalone for CI (writes
+``BENCH_scheduler.json``, exits 1 when the scheduler fails to beat FIFO)
+and under pytest with the usual report plumbing::
 
     PYTHONPATH=src python benchmarks/bench_scheduler.py --help
 """
@@ -26,17 +28,13 @@ beat FIFO) and under pytest with the usual report plumbing::
 from __future__ import annotations
 
 import argparse
-import json
-import sys
 from pathlib import Path
 
-from repro.engines import build_engine
-from repro.hashes.registry import get_hash
+from repro.gates import exit_code, write_record
 from repro.sched.workload import (
-    mixed_workload,
-    run_fifo,
-    run_scheduled,
-    summarize_latencies,
+    compare_fifo_and_scheduled,
+    comparison_gates,
+    render_comparison,
 )
 
 #: Acceptance-scale defaults: a mixed d=1..4 fleet. The budget is short
@@ -50,111 +48,12 @@ FULL_SCALE = {
 }
 
 
-def run_benchmark(
-    hash_name: str = "sha1",
-    requests: int = 16,
-    depths: tuple[int, ...] = (1, 2, 3, 4),
-    time_budget: float = 3.0,
-    batch_size: int = 16384,
-    seed: int = 0,
-) -> dict:
-    """Measure FIFO vs scheduled tail latency; return the record."""
-    algo = get_hash(hash_name)
-    workload = mixed_workload(
-        algo, requests=requests, depths=depths, seed=seed
-    )
-
-    fifo_engine = build_engine(
-        "batch", hash_name=hash_name, batch_size=batch_size, cache=True
-    )
-    fifo = summarize_latencies(run_fifo(fifo_engine, workload, time_budget))
-
-    sched_engine = build_engine(
-        "sched", hash_name=hash_name, batch_size=batch_size
-    )
-    try:
-        sched = summarize_latencies(
-            run_scheduled(sched_engine, workload, time_budget)
-        )
-        snapshot = sched_engine.scheduler.snapshot()
-    finally:
-        sched_engine.close()
-
-    fifo_p99 = fifo["shallow"]["p99_seconds"]
-    sched_p99 = sched["shallow"]["p99_seconds"]
-    return {
-        "config": {
-            "hash_name": hash_name,
-            "requests": requests,
-            "depths": list(depths),
-            "time_budget": time_budget,
-            "batch_size": batch_size,
-            "seed": seed,
-        },
-        "fifo": fifo,
-        "scheduled": sched,
-        "shallow_p99_fifo_seconds": fifo_p99,
-        "shallow_p99_scheduled_seconds": sched_p99,
-        "shallow_p99_speedup": fifo_p99 / sched_p99 if sched_p99 > 0 else None,
-        "scheduler": {
-            "batches": snapshot["batches"],
-            "shared_batches": snapshot["shared_batches"],
-            "shed": snapshot["shed"],
-            "preempted": snapshot["preempted"],
-            "peak_queue_depth": snapshot["peak_queue_depth"],
-            "batches_by_lane": snapshot["batches_by_lane"],
-        },
-    }
-
-
-def format_record(record: dict) -> str:
-    config = record["config"]
-
-    def row(label: str, stats: dict) -> str:
-        if stats["count"] == 0:
-            return f"    {label:<8} (no requests)"
-        return (
-            f"    {label:<8} n={stats['count']:<3} "
-            f"p50={stats['p50_seconds']:.3f}s "
-            f"p99={stats['p99_seconds']:.3f}s "
-            f"found={stats['found']} timed_out={stats['timed_out']} "
-            f"shed={stats['shed']}"
-        )
-
-    lines = [
-        "Scheduler — shallow tail latency on a mixed-depth fleet",
-        f"  {config['requests']} requests, depths {config['depths']}, "
-        f"T={config['time_budget']}s, hash={config['hash_name']}, "
-        f"bs={config['batch_size']}",
-        "  FIFO (submission order, one device):",
-        row("shallow", record["fifo"]["shallow"]),
-        row("deep", record["fifo"]["deep"]),
-        "  scheduled (continuous batching, EDF lanes):",
-        row("shallow", record["scheduled"]["shallow"]),
-        row("deep", record["scheduled"]["deep"]),
-    ]
-    sched = record["scheduler"]
-    lines.append(
-        f"  scheduler: batches={sched['batches']} "
-        f"shared={sched['shared_batches']} shed={sched['shed']} "
-        f"preempted={sched['preempted']} "
-        f"peak_queue={sched['peak_queue_depth']}"
-    )
-    speedup = record["shallow_p99_speedup"]
-    lines.append(
-        f"  shallow p99: FIFO {record['shallow_p99_fifo_seconds']:.3f}s -> "
-        f"scheduled {record['shallow_p99_scheduled_seconds']:.3f}s"
-        + (f"  ({speedup:.1f}x)" if speedup is not None else "")
-    )
-    return "\n".join(lines)
-
-
 def test_scheduler_beats_fifo_on_shallow_p99(report):
     """Reduced-scale pytest entry: the acceptance claim of the bench."""
-    record = run_benchmark(
+    record = compare_fifo_and_scheduled(
         requests=8, depths=(1, 2, 3), time_budget=2.0, batch_size=8192
     )
-    report("scheduler", format_record(record))
+    report("scheduler", render_comparison(record, comparison_gates(record)))
     assert record["shallow_p99_scheduled_seconds"] <= (
         record["shallow_p99_fifo_seconds"]
     )
@@ -190,7 +89,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    record = run_benchmark(
+    record = compare_fifo_and_scheduled(
         hash_name=args.hash_name,
         requests=args.requests,
         depths=tuple(int(d) for d in args.depths.split(",")),
@@ -198,22 +97,11 @@ def main(argv: list[str] | None = None) -> int:
         batch_size=args.batch_size,
         seed=args.seed,
     )
-    record["pass"] = (
-        record["shallow_p99_scheduled_seconds"]
-        <= record["shallow_p99_fifo_seconds"]
-    )
-    args.output.write_text(json.dumps(record, indent=2) + "\n")
-    print(format_record(record))
+    gates = comparison_gates(record)
+    write_record(args.output, "scheduler", record, gates)
+    print(render_comparison(record, gates))
     print(f"  wrote {args.output}")
-    if not record["pass"]:
-        print(
-            "REGRESSION: scheduled shallow p99 "
-            f"{record['shallow_p99_scheduled_seconds']:.3f}s exceeds FIFO "
-            f"{record['shallow_p99_fifo_seconds']:.3f}s",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return exit_code(gates)
 
 
 if __name__ == "__main__":

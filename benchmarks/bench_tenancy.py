@@ -13,12 +13,12 @@ else. Three phases over the same planted two-tenant fleet
 * **unprotected** — the identical storm with the quota removed (the
   damage the bucket exists to prevent; report-only, not gated).
 
-Gates (:func:`repro.tenancy.workload.evaluate_gates`): the victim is
-never shed and keeps authenticating, every aggressor rejection is typed
-``tenant_quota``, and the victim's p99 stays within 25% of its baseline
-(plus a small absolute allowance for CI clock noise). Runs standalone
-for CI (writes ``BENCH_tenancy.json``, exits 1 on any gate failure) and
-under pytest with the usual report plumbing::
+Gates (:func:`repro.tenancy.workload.noisy_neighbor_gates`): the victim
+is never shed and keeps authenticating, every aggressor rejection is
+typed ``tenant_quota``, and the victim's p99 stays within 25% of its
+baseline (plus a small absolute allowance for CI clock noise). Runs
+standalone for CI (writes ``BENCH_tenancy.json``, exits 1 on any gate
+failure) and under pytest with the usual report plumbing::
 
     PYTHONPATH=src python benchmarks/bench_tenancy.py --help
 """
@@ -26,14 +26,13 @@ under pytest with the usual report plumbing::
 from __future__ import annotations
 
 import argparse
-import json
-import sys
 from pathlib import Path
 
+from repro.gates import exit_code, write_record
 from repro.tenancy.workload import (
     AGGRESSOR_TENANT,
-    VICTIM_TENANT,
-    evaluate_gates,
+    noisy_neighbor_gates,
+    render_noisy_neighbor,
     run_noisy_neighbor,
 )
 
@@ -49,47 +48,6 @@ FULL_SCALE = {
 }
 
 
-def format_record(record: dict) -> str:
-    config = record["config"]
-
-    def row(phase: str, tenant: str) -> str:
-        stats = record[phase].get(tenant)
-        if stats is None:
-            return f"    {phase:<12} {tenant:<10} (absent)"
-        tail = (
-            f"p50={stats['p50_seconds']:.3f}s p99={stats['p99_seconds']:.3f}s"
-            if stats["served"]
-            else "(nothing served)"
-        )
-        return (
-            f"    {phase:<12} {tenant:<10} n={stats['count']:<3} "
-            f"served={stats['served']:<3} shed={stats['shed']:<3} {tail}"
-        )
-
-    lines = [
-        "Tenancy — noisy-neighbor isolation under per-tenant quotas",
-        f"  {config['victims']} victim + {config['aggressors']} aggressor "
-        f"requests, aggressor bucket {config['aggressor_rate']}/s "
-        f"burst={config['aggressor_burst']}, workers={config['workers']}, "
-        f"hash={config['hash_name']}",
-        row("baseline", VICTIM_TENANT),
-        row("storm", VICTIM_TENANT),
-        row("storm", AGGRESSOR_TENANT),
-        row("unprotected", VICTIM_TENANT),
-        f"  aggressor: {record['aggressor_admitted']} admitted, "
-        f"{record['aggressor_shed']} shed {record['aggressor_shed_reasons']}",
-        f"  victim p99: baseline {record['victim_p99_baseline_seconds']:.3f}s"
-        f" -> storm {record['victim_p99_storm_seconds']:.3f}s"
-        + (
-            f"  ({record['victim_p99_ratio']:.2f}x)"
-            if record["victim_p99_ratio"] is not None
-            else ""
-        )
-        + f"; unprotected {record['victim_p99_unprotected_seconds']:.3f}s",
-    ]
-    return "\n".join(lines)
-
-
 def test_quotas_isolate_the_victim_tenant(report):
     """Pytest entry: the acceptance claims of the bench.
 
@@ -98,9 +56,10 @@ def test_quotas_isolate_the_victim_tenant(report):
     victim's own baseline tail, or clock noise dominates the ratio.
     """
     record = run_noisy_neighbor(victims=10, aggressors=12)
-    report("tenancy", format_record(record))
-    failures = evaluate_gates(record)
-    assert not failures, failures
+    gates = noisy_neighbor_gates(record)
+    text = render_noisy_neighbor(record, gates)
+    report("tenancy", text)
+    assert exit_code(gates) == 0, text
     # The quota refused real work: the unprotected phase served the whole
     # aggressor fleet, the protected storm only the bucket's worth.
     assert record["aggressor_admitted"] < record["config"]["aggressors"]
@@ -147,15 +106,12 @@ def main(argv: list[str] | None = None) -> int:
         workers=args.workers,
         seed=args.seed,
     )
-    failures = evaluate_gates(record, ratio_limit=args.ratio_limit)
-    record["pass"] = not failures
-    record["failures"] = failures
-    args.output.write_text(json.dumps(record, indent=2) + "\n")
-    print(format_record(record))
+    gates = noisy_neighbor_gates(record, ratio_limit=args.ratio_limit)
+    record["config"]["ratio_limit"] = args.ratio_limit
+    write_record(args.output, "tenancy", record, gates)
+    print(render_noisy_neighbor(record, gates))
     print(f"  wrote {args.output}")
-    for failure in failures:
-        print(f"REGRESSION: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    return exit_code(gates)
 
 
 if __name__ == "__main__":

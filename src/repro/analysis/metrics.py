@@ -7,6 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from repro.gates import Gate, render_verdict
+
 __all__ = [
     "speedup",
     "parallel_efficiency",
@@ -182,6 +184,15 @@ class ResilienceReport:
         """Fraction of clients that authenticated successfully."""
         return self.succeeded / self.clients if self.clients else 0.0
 
+    @property
+    def gates(self) -> list[Gate]:
+        """The acceptance bar for every fault plan: no false auths."""
+        return [Gate("false_authentications", self.false_authentications, 0)]
+
+    @property
+    def passed(self) -> bool:
+        return all(gate.ok for gate in self.gates)
+
     def render(self) -> str:
         """Human-readable report for the `repro chaos` subcommand."""
         from repro.analysis.tables import format_table
@@ -216,5 +227,6 @@ class ResilienceReport:
             f"across {self.engine_shells_completed} shells",
             f"breaker transitions: "
             + (" ".join(self.breaker_transitions) or "(none)"),
+            render_verdict(self.gates),
         ]
         return "\n".join(lines)

@@ -27,6 +27,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.gates import exit_code
+
 __all__ = ["main"]
 
 
@@ -301,77 +303,28 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         args.plan, seed=args.seed, clients=args.clients, workers=args.workers
     )
     print(report.render())
-    return 0 if report.false_authentications == 0 else 1
+    return exit_code(report.gates)
 
 
 def _cmd_sched(args: argparse.Namespace) -> int:
-    from repro.engines import build_engine
-    from repro.hashes.registry import get_hash
     from repro.sched.workload import (
-        mixed_workload,
-        run_fifo,
-        run_scheduled,
-        summarize_latencies,
+        compare_fifo_and_scheduled,
+        comparison_gates,
+        render_comparison,
     )
 
-    algo = get_hash(args.hash)
-    depths = args.depths
-    workload = mixed_workload(
-        algo,
+    record = compare_fifo_and_scheduled(
+        hash_name=args.hash,
         requests=args.requests,
-        depths=depths,
+        depths=args.depths,
+        time_budget=args.budget,
+        batch_size=args.batch_size,
         seed=args.seed,
         deadline_seconds=args.deadline,
     )
-
-    fifo_engine = build_engine(
-        "batch", hash_name=args.hash, batch_size=args.batch_size, cache=True
-    )
-    fifo = summarize_latencies(run_fifo(fifo_engine, workload, args.budget))
-
-    sched_engine = build_engine(
-        "sched", hash_name=args.hash, batch_size=args.batch_size
-    )
-    try:
-        sched = summarize_latencies(
-            run_scheduled(sched_engine, workload, args.budget)
-        )
-        snapshot = sched_engine.scheduler.snapshot()
-    finally:
-        sched_engine.close()
-
-    def row(label: str, stats: dict) -> str:
-        if stats["count"] == 0:
-            return f"  {label:<8} (no requests)"
-        return (
-            f"  {label:<8} n={stats['count']:<3} "
-            f"p50={stats['p50_seconds']:.3f}s "
-            f"p99={stats['p99_seconds']:.3f}s "
-            f"max={stats['max_seconds']:.3f}s "
-            f"found={stats['found']} timed_out={stats['timed_out']} "
-            f"shed={stats['shed']}"
-        )
-
-    print(f"workload: {args.requests} requests, depths {depths}, "
-          f"T={args.budget}s, hash={args.hash}")
-    print("FIFO (one device, submission order):")
-    for label in ("shallow", "deep", "all"):
-        print(row(label, fifo[label]))
-    print("scheduled (continuous batching, EDF lanes):")
-    for label in ("shallow", "deep", "all"):
-        print(row(label, sched[label]))
-    print(
-        f"scheduler: batches={snapshot['batches']} "
-        f"shared={snapshot['shared_batches']} shed={snapshot['shed']} "
-        f"preempted={snapshot['preempted']} "
-        f"peak_queue={snapshot['peak_queue_depth']}"
-    )
-    fifo_p99 = fifo["shallow"].get("p99_seconds")
-    sched_p99 = sched["shallow"].get("p99_seconds")
-    if fifo_p99 is not None and sched_p99 is not None:
-        print(f"shallow p99: FIFO {fifo_p99:.3f}s -> sched {sched_p99:.3f}s")
-        return 0 if sched_p99 <= fifo_p99 else 1
-    return 0
+    gates = comparison_gates(record)
+    print(render_comparison(record, gates))
+    return exit_code(gates)
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
@@ -392,7 +345,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             revive_fraction=args.revive_fraction,
         )
         print(report.render())
-        return 0 if report.passed else 1
+        return exit_code(report.gates)
 
     from repro.fleet.engine import FleetSearchEngine
     from repro.hashes.registry import get_hash
@@ -467,7 +420,7 @@ def _cmd_directory(args: argparse.Namespace) -> int:
             shed_ceiling=args.shed_ceiling,
         )
         print(report.render())
-        return 0 if report.passed else 1
+        return exit_code(report.gates)
 
     import numpy as np
 
@@ -538,9 +491,8 @@ def _cmd_directory(args: argparse.Namespace) -> int:
 
 def _cmd_tenants(args: argparse.Namespace) -> int:
     from repro.tenancy.workload import (
-        AGGRESSOR_TENANT,
-        VICTIM_TENANT,
-        evaluate_gates,
+        noisy_neighbor_gates,
+        render_noisy_neighbor,
         run_noisy_neighbor,
     )
 
@@ -553,57 +505,9 @@ def _cmd_tenants(args: argparse.Namespace) -> int:
         workers=args.workers,
         seed=args.seed,
     )
-    config = record["config"]
-
-    def row(phase: str, tenant: str) -> str:
-        stats = record[phase].get(tenant)
-        if stats is None:
-            return f"  {phase:<12} {tenant:<10} (absent)"
-        tail = (
-            f"p50={stats['p50_seconds']:.3f}s p99={stats['p99_seconds']:.3f}s"
-            if stats["served"]
-            else "(nothing served)"
-        )
-        return (
-            f"  {phase:<12} {tenant:<10} n={stats['count']:<3} "
-            f"served={stats['served']:<3} shed={stats['shed']:<3} {tail}"
-        )
-
-    print("tenants: noisy-neighbor storm under per-tenant quotas")
-    print(f"  {config['victims']} victim + {config['aggressors']} aggressor "
-          f"requests, aggressor bucket {config['aggressor_rate']}/s "
-          f"burst={config['aggressor_burst']}, workers={config['workers']}, "
-          f"hash={config['hash_name']}")
-    print(row("baseline", VICTIM_TENANT))
-    print(row("storm", VICTIM_TENANT))
-    print(row("storm", AGGRESSOR_TENANT))
-    print(row("unprotected", VICTIM_TENANT))
-    print(f"  aggressor: {record['aggressor_admitted']} admitted, "
-          f"{record['aggressor_shed']} shed {record['aggressor_shed_reasons']}")
-    print(f"  victim p99: baseline "
-          f"{record['victim_p99_baseline_seconds']:.3f}s -> storm "
-          f"{record['victim_p99_storm_seconds']:.3f}s"
-          + (f" ({record['victim_p99_ratio']:.2f}x)"
-             if record["victim_p99_ratio"] is not None else "")
-          + f"; unprotected "
-            f"{record['victim_p99_unprotected_seconds']:.3f}s")
-
-    print("per-tenant ledger (storm phase):")
-    for tenant_id, stats in sorted(record["server"]["storm_tenants"].items()):
-        line = (f"  {tenant_id:<10} "
-                f"submitted={stats['submitted']:.0f} "
-                f"completed={stats['completed']:.0f} "
-                f"authenticated={stats['authenticated']:.0f} "
-                f"shed={stats['shed']:.0f} "
-                f"quota_hits={stats['quota_hits']:.0f}")
-        if stats.get("p99_seconds") is not None:
-            line += f" p99={stats['p99_seconds']:.3f}s"
-        print(line)
-
-    failures = evaluate_gates(record, ratio_limit=args.ratio_limit)
-    for failure in failures:
-        print(f"REGRESSION: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    gates = noisy_neighbor_gates(record, ratio_limit=args.ratio_limit)
+    print(render_noisy_neighbor(record, gates))
+    return exit_code(gates)
 
 
 def _cmd_deploy(args: argparse.Namespace) -> int:
@@ -654,21 +558,10 @@ def _cmd_deploy(args: argparse.Namespace) -> int:
         output_path=args.output,
         log=print,
     )
-    for profile in report.profiles:
-        status = "ok" if profile.passed else "FAILED"
-        outcomes = ", ".join(
-            f"{k}={v}" for k, v in profile.outcomes.items()
-        )
-        print(f"[{profile.profile}] {status}: {outcomes}")
-        print(f"  p50={profile.latency_p50_ms:.1f}ms "
-              f"p99={profile.latency_p99_ms:.1f}ms "
-              f"throughput={profile.throughput_rps:.2f}req/s "
-              f"false_auths={profile.false_authentications}")
-        for failure in profile.gate_failures:
-            print(f"  GATE: {failure}", file=sys.stderr)
+    print(report.render())
     if args.output:
         print(f"wrote {args.output}")
-    return 0 if report.passed else 1
+    return exit_code(report.gates)
 
 
 def _run_crash(args: argparse.Namespace, topology) -> int:
@@ -686,26 +579,10 @@ def _run_crash(args: argparse.Namespace, topology) -> int:
         output_path=args.output,
         log=print,
     )
-    status = "ok" if report.passed else "FAILED"
-    print(f"crash storm {status}: {report.crashes} kill-9 round(s), "
-          f"{report.acknowledged_total} acked enrollments, "
-          f"{report.lost_acknowledged} lost, "
-          f"{report.nonce_reuse_trips} nonce-reuse trip(s), "
-          f"{report.false_authentications} false auth(s)")
-    for entry in report.rounds:
-        print(f"  round {entry.round_index}: {entry.victim} recovered "
-              f"{entry.recovered_records} record(s) in "
-              f"{entry.recovery_seconds * 1000:.1f}ms")
-    print(f"  durable {report.durable_enroll_rps:.1f} enroll/s vs lossy "
-          f"{report.lossy_enroll_rps:.1f} enroll/s "
-          f"({report.durability_overhead_pct:+.1f}% fsync cost); "
-          f"{report.restarts} restart(s), "
-          f"{report.backoff_seconds:.2f}s backoff")
-    for failure in report.gate_failures:
-        print(f"  GATE: {failure}", file=sys.stderr)
+    print(report.render())
     if args.output:
         print(f"wrote {args.output}")
-    return 0 if report.passed else 1
+    return exit_code(report.gates)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -4,13 +4,17 @@ The Certificate Authority owns the encrypted PUF-image database and the
 search service; the Registration Authority disseminates the public keys
 of authenticated clients. Client private keys are never generated or
 stored anywhere in this flow — the defining property of RBC.
+
+:class:`VerifyingAuthority` wraps a CA with the false-authentication
+tripwire every storm and deployment serves through.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import threading
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -27,6 +31,7 @@ from repro.tenancy.context import namespaced_key
 __all__ = [
     "RegistrationAuthority",
     "CertificateAuthority",
+    "VerifyingAuthority",
     "Challenge",
     "EnrollmentStore",
 ]
@@ -210,3 +215,65 @@ class CertificateAuthority:
             namespaced_key(tenant_id, client_id), public_key
         )
         return public_key
+
+
+class VerifyingAuthority:
+    """CA wrapper that counts false authentications.
+
+    The serving layer records each submitted digest (M1) before
+    admission, and every key issuance re-hashes the found seed against
+    the digests recorded for that client: a seed that matches none of
+    them is a false authentication, the one failure no storm may
+    explain away. Issuance re-checks because both serving paths (the
+    FIFO worker pool and the scheduler) end there. Thread-safe; every
+    other attribute is the wrapped CA's.
+    """
+
+    #: Outstanding digests retained per client; bounds memory if a
+    #: client records digests that never reach issuance (sheds, drops).
+    _MAX_OUTSTANDING = 16
+
+    def __init__(self, authority: CertificateAuthority) -> None:
+        self._authority = authority
+        self._lock = threading.Lock()
+        self._digests: dict[str, list[bytes]] = {}
+        self.false_authentications = 0
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self._authority, name)
+
+    def record_digest(
+        self, client_id: str, digest: bytes, tenant_id: str | None = None
+    ) -> None:
+        """Remember an outstanding M1 for this client (keyed per tenant).
+
+        A *list* of outstanding digests, not a single slot: a client's
+        retry (or its next request racing the previous search) must not
+        overwrite the digest an in-flight search will be verified
+        against — that overwrite would misreport a correct search as a
+        false authentication.
+        """
+        with self._lock:
+            outstanding = self._digests.setdefault(
+                namespaced_key(tenant_id, client_id), []
+            )
+            if digest not in outstanding:
+                outstanding.append(digest)
+            del outstanding[: -self._MAX_OUTSTANDING]
+
+    def issue_public_key(
+        self, client_id: str, found_seed: bytes, tenant_id: str | None = None
+    ) -> bytes:
+        """Re-verify ``found_seed`` against the recorded M1s, then issue."""
+        key = namespaced_key(tenant_id, client_id)
+        with self._lock:
+            outstanding = self._digests.get(key)
+            if outstanding:
+                digest = get_hash(self._authority.hash_name).scalar(found_seed)
+                if digest in outstanding:
+                    outstanding.remove(digest)
+                else:
+                    self.false_authentications += 1
+        return self._authority.issue_public_key(
+            client_id, found_seed, tenant_id=tenant_id
+        )

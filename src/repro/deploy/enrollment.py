@@ -8,16 +8,13 @@ digests the server can actually search for. The functions here are that
 shared contract — every parameter that feeds the PUF's RNG lives in one
 place, so the two sides cannot drift.
 
-Also here: the server-side false-authentication tripwire. Every found
-seed is re-hashed and compared against the digest the client actually
-submitted; a mismatch is the one failure a deployment storm can never
-explain away, and it rides the admin metrics frame so the storm runner
-can assert it stayed zero.
+The server wraps its CA in the false-authentication tripwire,
+:class:`~repro.core.authentication.VerifyingAuthority` (re-exported
+here); its count rides the admin metrics frame so the storm runner can
+assert it stayed zero.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -26,11 +23,11 @@ from repro.core import (
     RBCSearchService,
     RegistrationAuthority,
 )
+from repro.core.authentication import VerifyingAuthority
 from repro.core.protocol import ClientDevice
 from repro.core.salting import HashChainSalt
 from repro.deploy.topology import TopologySpec
 from repro.engines import build_engine
-from repro.hashes.registry import get_hash
 from repro.keygen.interface import get_keygen
 from repro.puf.image_db import EncryptedImageDatabase
 from repro.puf.model import SRAMPuf
@@ -152,70 +149,6 @@ def enroll_topology_fleet(
         authority.enroll(client_id, mask, tenant_id=tenant_id)
         enrolled += 1
     return enrolled
-
-
-class VerifyingAuthority:
-    """Authority wrapper that counts false authentications.
-
-    Thread-safe: the serving layer records each submitted digest before
-    admission, and every key issuance re-hashes the found seed against
-    it. The counter is exported over the admin metrics frame.
-    """
-
-    #: Outstanding digests retained per client; bounds memory if a
-    #: client records digests that never reach issuance (sheds, drops).
-    _MAX_OUTSTANDING = 16
-
-    def __init__(self, authority: CertificateAuthority):
-        self._authority = authority
-        self._lock = threading.Lock()
-        self._digests: dict[str, list[bytes]] = {}
-        self.false_authentications = 0
-
-    def __getattr__(self, name):
-        return getattr(self._authority, name)
-
-    def record_digest(
-        self, client_id: str, digest: bytes, tenant_id: str | None = None
-    ) -> None:
-        """Remember an outstanding M1 for this client (keyed per tenant).
-
-        A *list* of outstanding digests, not a single slot: a client's
-        retry (or its next request racing the previous search) must not
-        overwrite the digest an in-flight search will be verified
-        against — that overwrite would misreport a correct search as a
-        false authentication.
-        """
-        with self._lock:
-            outstanding = self._digests.setdefault(
-                namespaced_key(tenant_id, client_id), []
-            )
-            if digest not in outstanding:
-                outstanding.append(digest)
-            del outstanding[: -self._MAX_OUTSTANDING]
-
-    def issue_public_key(
-        self, client_id: str, found_seed: bytes, tenant_id: str | None = None
-    ) -> bytes:
-        key = namespaced_key(tenant_id, client_id)
-        with self._lock:
-            outstanding = list(self._digests.get(key, ()))
-        if outstanding:
-            algo = get_hash(self._authority.hash_name)
-            digest = algo.scalar(found_seed)
-            if digest in outstanding:
-                with self._lock:
-                    recorded = self._digests.get(key)
-                    if recorded is not None and digest in recorded:
-                        recorded.remove(digest)
-            else:
-                with self._lock:
-                    self.false_authentications += 1
-        if tenant_id is None or tenant_id == DEFAULT_TENANT:
-            return self._authority.issue_public_key(client_id, found_seed)
-        return self._authority.issue_public_key(
-            client_id, found_seed, tenant_id=tenant_id
-        )
 
 
 def build_serving_stack(

@@ -28,7 +28,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from repro.deploy.loadgen import spec_to_json
@@ -38,6 +38,7 @@ from repro.deploy.supervisor import (
     RestartPolicy,
 )
 from repro.deploy.topology import TopologySpec
+from repro.gates import Gate, render_verdict, write_record
 from repro.net.errors import TransportError
 from repro.net.sockets import RemoteCAServer, SocketTransport
 
@@ -61,6 +62,7 @@ class ProfileReport:
     """Everything measured about one profile's deployment."""
 
     profile: str
+    expected_requests: int
     requests: int
     outcomes: dict[str, int]
     latency_p50_ms: float
@@ -73,30 +75,43 @@ class ProfileReport:
     untyped: list[dict] = field(default_factory=list)
     server_exits: dict[str, int | None] = field(default_factory=dict)
     drained: bool = False
-    gate_failures: list[str] = field(default_factory=list)
+
+    @property
+    def gates(self) -> list[Gate]:
+        """This profile's acceptance gates, named ``<profile>.<gate>``."""
+        gates = [
+            Gate("false_authentications", self.false_authentications, 0),
+            # Every client-observed error maps to a typed bucket.
+            Gate("untyped_failures", len(self.untyped), 0),
+            # Every server drained and exited 0 under SIGTERM.
+            Gate("drained", self.drained, True),
+            Gate("outcomes_recorded", self.requests, self.expected_requests),
+        ]
+        if self.profile == "lan":
+            gates.append(
+                Gate(
+                    "authenticated",
+                    self.outcomes.get("authenticated", 0),
+                    self.requests,
+                )
+            )
+        return [replace(g, name=f"{self.profile}.{g.name}") for g in gates]
 
     @property
     def passed(self) -> bool:
-        return not self.gate_failures
+        return all(gate.ok for gate in self.gates)
 
-    def to_json(self) -> dict:
-        return {
-            "profile": self.profile,
-            "requests": self.requests,
-            "outcomes": self.outcomes,
-            "latency_p50_ms": round(self.latency_p50_ms, 3),
-            "latency_p99_ms": round(self.latency_p99_ms, 3),
-            "throughput_rps": round(self.throughput_rps, 3),
-            "wall_seconds": round(self.wall_seconds, 3),
-            "server_counters": self.server_counters,
-            "shed_reasons": self.shed_reasons,
-            "false_authentications": self.false_authentications,
-            "untyped_failures": len(self.untyped),
-            "server_exits": self.server_exits,
-            "drained": self.drained,
-            "gate_failures": self.gate_failures,
-            "passed": self.passed,
-        }
+    def render(self) -> str:
+        outcomes = ", ".join(f"{k}={v}" for k, v in self.outcomes.items())
+        return (
+            f"[{self.profile}] {outcomes}\n"
+            f"  p50={self.latency_p50_ms:.1f}ms "
+            f"p99={self.latency_p99_ms:.1f}ms "
+            f"throughput={self.throughput_rps:.2f}req/s "
+            f"false_auths={self.false_authentications} "
+            f"drained={self.drained}\n"
+            + render_verdict(self.gates)
+        )
 
 
 @dataclass
@@ -108,17 +123,15 @@ class DeploymentReport:
     profiles: list[ProfileReport]
 
     @property
-    def passed(self) -> bool:
-        return all(p.passed for p in self.profiles)
+    def gates(self) -> list[Gate]:
+        return [gate for p in self.profiles for gate in p.gates]
 
-    def to_json(self) -> dict:
-        return {
-            "benchmark": "deployment",
-            "topology": self.topology,
-            "seed": self.seed,
-            "passed": self.passed,
-            "profiles": [p.to_json() for p in self.profiles],
-        }
+    @property
+    def passed(self) -> bool:
+        return all(gate.ok for gate in self.gates)
+
+    def render(self) -> str:
+        return "\n".join(p.render() for p in self.profiles)
 
 
 def _percentile(values: list[float], q: float) -> float:
@@ -285,8 +298,9 @@ def run_profile(
     shed_reasons = _merge_counters(s.shed_reasons for s in snapshots)
     false_auths = sum(s.false_authentications for s in snapshots)
 
-    report = ProfileReport(
+    return ProfileReport(
         profile=profile,
+        expected_requests=requests,
         requests=len(records),
         outcomes=dict(sorted(outcomes.items())),
         latency_p50_ms=_percentile(completed, 0.50) * 1000.0,
@@ -300,35 +314,6 @@ def run_profile(
         server_exits=server_exits,
         drained=drained,
     )
-    _apply_gates(report, requests)
-    return report
-
-
-def _apply_gates(report: ProfileReport, requests: int) -> None:
-    if report.false_authentications:
-        report.gate_failures.append(
-            f"{report.false_authentications} false authentication(s)"
-        )
-    if report.untyped:
-        kinds = sorted({r["outcome"] for r in report.untyped})
-        report.gate_failures.append(
-            f"{len(report.untyped)} untyped failure(s): {kinds}"
-        )
-    if not report.drained:
-        report.gate_failures.append(
-            f"unclean server shutdown: exits {report.server_exits}"
-        )
-    if report.requests != requests:
-        report.gate_failures.append(
-            f"{report.requests} outcomes recorded for {requests} requests"
-        )
-    if report.profile == "lan":
-        authed = report.outcomes.get("authenticated", 0)
-        if authed != report.requests:
-            report.gate_failures.append(
-                f"lan must authenticate everything: "
-                f"{authed}/{report.requests}"
-            )
 
 
 def run_deployment_storm(
@@ -368,9 +353,17 @@ def run_deployment_storm(
         topology=base.describe(), seed=seed, profiles=reports
     )
     if output_path is not None:
-        with open(output_path, "w", encoding="utf-8") as handle:
-            json.dump(deployment.to_json(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        config = {
+            "topology": deployment.topology,
+            "seed": seed,
+            "profiles": list(profiles),
+            "requests": requests,
+            "duration_seconds": duration_seconds,
+            "num_loadgens": num_loadgens,
+            "time_scale": time_scale,
+        }
+        record = {"config": config, "profiles": [asdict(p) for p in reports]}
+        write_record(output_path, "deployment", record, deployment.gates)
     return deployment
 
 
@@ -390,18 +383,6 @@ class CrashRound:
     lost_acknowledged: int
     reenrolled: int
 
-    def to_json(self) -> dict:
-        return {
-            "round": self.round_index,
-            "victim": self.victim,
-            "acked_before_kill": self.acked_before_kill,
-            "refused_during_outage": self.refused_during_outage,
-            "recovered_records": self.recovered_records,
-            "recovery_seconds": round(self.recovery_seconds, 6),
-            "lost_acknowledged": self.lost_acknowledged,
-            "reenrolled": self.reenrolled,
-        }
-
 
 @dataclass
 class CrashStormReport:
@@ -412,9 +393,11 @@ class CrashStormReport:
     crashes: int
     clients: int
     fsync: str
+    auth_requests: int
     rounds: list[CrashRound] = field(default_factory=list)
     acknowledged_total: int = 0
     lost_acknowledged: int = 0
+    refused_after_restart: int = 0
     nonce_reuse_trips: int = 0
     false_authentications: int = 0
     auth_outcomes: dict[str, int] = field(default_factory=dict)
@@ -425,36 +408,52 @@ class CrashStormReport:
     durability_overhead_pct: float = 0.0
     server_exits: dict[str, int | None] = field(default_factory=dict)
     drained: bool = False
-    gate_failures: list[str] = field(default_factory=list)
+
+    @property
+    def gates(self) -> list[Gate]:
+        """The crash-consistency contract, one named gate each."""
+        return [
+            Gate("lost_acknowledged", self.lost_acknowledged, 0),
+            # A restarted server takes enrollments again at once.
+            Gate("refused_after_restart", self.refused_after_restart, 0),
+            Gate("nonce_reuse_trips", self.nonce_reuse_trips, 0),
+            Gate("false_authentications", self.false_authentications, 0),
+            Gate(
+                "post_recovery_authenticated",
+                self.auth_outcomes.get("authenticated", 0),
+                min(self.auth_requests, self.clients),
+            ),
+            Gate("drained", self.drained, True),
+        ]
 
     @property
     def passed(self) -> bool:
-        return not self.gate_failures
+        return all(gate.ok for gate in self.gates)
 
-    def to_json(self) -> dict:
-        return {
-            "benchmark": "recovery",
-            "topology": self.topology,
-            "seed": self.seed,
-            "crashes": self.crashes,
-            "clients": self.clients,
-            "fsync": self.fsync,
-            "rounds": [r.to_json() for r in self.rounds],
-            "acknowledged_total": self.acknowledged_total,
-            "lost_acknowledged": self.lost_acknowledged,
-            "nonce_reuse_trips": self.nonce_reuse_trips,
-            "false_authentications": self.false_authentications,
-            "auth_outcomes": self.auth_outcomes,
-            "restarts": self.restarts,
-            "backoff_seconds": round(self.backoff_seconds, 6),
-            "durable_enroll_rps": round(self.durable_enroll_rps, 3),
-            "lossy_enroll_rps": round(self.lossy_enroll_rps, 3),
-            "durability_overhead_pct": round(self.durability_overhead_pct, 2),
-            "server_exits": self.server_exits,
-            "drained": self.drained,
-            "gate_failures": self.gate_failures,
-            "passed": self.passed,
-        }
+    def render(self) -> str:
+        lines = [
+            f"crash storm: {self.crashes} kill-9 round(s), "
+            f"{self.acknowledged_total} acked enrollments, "
+            f"{self.lost_acknowledged} lost, "
+            f"{self.nonce_reuse_trips} nonce-reuse trip(s), "
+            f"{self.false_authentications} false auth(s)"
+        ]
+        for entry in self.rounds:
+            lines.append(
+                f"  round {entry.round_index}: {entry.victim} recovered "
+                f"{entry.recovered_records} record(s) in "
+                f"{entry.recovery_seconds * 1000:.1f}ms, "
+                f"lost {entry.lost_acknowledged}"
+            )
+        lines += [
+            f"  durable {self.durable_enroll_rps:.1f} enroll/s vs lossy "
+            f"{self.lossy_enroll_rps:.1f} enroll/s "
+            f"({self.durability_overhead_pct:+.1f}% fsync cost); "
+            f"{self.restarts} restart(s), "
+            f"{self.backoff_seconds:.2f}s backoff",
+            render_verdict(self.gates),
+        ]
+        return "\n".join(lines)
 
 
 def _last_recovery_line(lines: list[str]) -> tuple[int, float]:
@@ -595,6 +594,7 @@ def run_crash_storm(
         crashes=crashes,
         clients=base.clients,
         fsync=base.durability,
+        auth_requests=auth_requests,
     )
 
     def spawn(supervisor, name, data_dir, extra_spec_json=None):
@@ -694,11 +694,7 @@ def run_crash_storm(
             reenrolled, refused_after = _enroll_burst(
                 remotes[victim_index], burst, acked[victim_index]
             )
-            if refused_after:
-                report.gate_failures.append(
-                    f"round {round_index}: {refused_after} enrollments "
-                    f"refused after restart"
-                )
+            report.refused_after_restart += refused_after
             report.rounds.append(
                 CrashRound(
                     round_index=round_index,
@@ -772,36 +768,12 @@ def run_crash_storm(
     report.false_authentications = sum(
         s.false_authentications for s in snapshots
     )
-    _apply_crash_gates(report, auth_requests)
     if output_path is not None:
-        with open(output_path, "w", encoding="utf-8") as handle:
-            json.dump(report.to_json(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        record = asdict(report)
+        record["config"] = {
+            key: record.pop(key)
+            for key in ("topology", "seed", "crashes", "clients", "fsync",
+                        "auth_requests")
+        }
+        write_record(output_path, "recovery", record, report.gates)
     return report
-
-
-def _apply_crash_gates(report: CrashStormReport, auth_requests: int) -> None:
-    if report.lost_acknowledged:
-        report.gate_failures.append(
-            f"{report.lost_acknowledged} acknowledged enrollment(s) lost "
-            f"across {report.crashes} kill-9 crash(es)"
-        )
-    if report.nonce_reuse_trips:
-        report.gate_failures.append(
-            f"nonce-reuse tripwire fired {report.nonce_reuse_trips} time(s)"
-        )
-    if report.false_authentications:
-        report.gate_failures.append(
-            f"{report.false_authentications} false authentication(s)"
-        )
-    authed = report.auth_outcomes.get("authenticated", 0)
-    expected = min(auth_requests, report.clients)
-    if authed != expected:
-        report.gate_failures.append(
-            f"post-recovery auth: {authed}/{expected} authenticated "
-            f"({report.auth_outcomes})"
-        )
-    if not report.drained:
-        report.gate_failures.append(
-            f"unclean final shutdown: exits {report.server_exits}"
-        )

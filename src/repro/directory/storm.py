@@ -23,9 +23,11 @@ protocol-level invariants at each step:
   again; the divergence planted in wave 3 must be healed through read
   repair (``read_repairs > 0``).
 
-A false-authentication tripwire re-hashes every found seed against the
-digest the client actually submitted — the zero-false-auth invariant is
-checked locally, not assumed from ``authenticated`` flags.
+The CA serves through
+:class:`~repro.core.authentication.VerifyingAuthority`, which re-hashes
+every found seed against the digest the client actually submitted — the
+zero-false-auth invariant is checked locally, not assumed from
+``authenticated`` flags.
 
 Deterministic by construction: the fleet is seeded, the victim/partner
 shards are chosen from the seeded ring, kill points are wave boundaries
@@ -41,12 +43,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core import CertificateAuthority, RegistrationAuthority
+from repro.core.authentication import VerifyingAuthority
 from repro.core.protocol import ClientDevice
 from repro.core.salting import HashChainSalt
 from repro.core.search import RBCSearchService
 from repro.directory.sharded import ShardedEnrollmentDirectory
 from repro.engines.registry import build_engine
-from repro.hashes.registry import get_hash
+from repro.gates import Gate, render_verdict
 from repro.keygen.interface import get_keygen
 from repro.net.concurrent import ConcurrentCAServer
 from repro.puf.model import SRAMPuf
@@ -85,29 +88,41 @@ class ShardLossStormReport:
     server_metrics: dict = field(default_factory=dict)
 
     @property
-    def passed(self) -> bool:
-        """The storm's hard invariants, as one flag."""
-        if len(self.waves) != 4:
-            return False
-        healthy, one_down, two_down, recovered = self.waves
-        return (
-            self.false_authentications == 0
+    def gates(self) -> list[Gate]:
+        """The storm's hard invariants, one named gate each."""
+        # A wave that never ran reads as unmeasured and fails its gates.
+        healthy, one_down, two_down, recovered = (
+            list(self.waves) + [(None, None, None)] * 4
+        )[:4]
+        all_ok = (self.clients, 0, 0)
+        doomed = len(self.doomed)
+        return [
+            Gate("waves", len(self.waves), 4),
+            Gate("false_authentications", self.false_authentications, 0),
             # waves 1, 2, 4: every client authenticates, nothing fails.
-            and healthy == (self.clients, 0, 0)
-            and one_down == (self.clients, 0, 0)
-            and recovered == (self.clients, 0, 0)
+            Gate("healthy_wave", healthy, all_ok),
+            Gate("one_shard_down_wave", one_down, all_ok),
+            Gate("recovered_wave", recovered, all_ok),
             # wave 2 really ran on replicas, not on luck.
-            and self.failovers > 0
+            Gate("failovers", self.failovers, 0, ">"),
             # wave 3: exactly the doomed keys shed, all of them typed.
-            and two_down[2] == len(self.doomed)
-            and two_down[0] == self.clients - len(self.doomed)
-            and two_down[1] == 0
-            and self.shed_untyped == 0
-            and self.unexpected_sheds == 0
-            and self.shed_rate <= self.shed_ceiling
+            Gate("replica_set_down_shed", two_down[2], doomed),
+            Gate(
+                "replica_set_down_authenticated",
+                two_down[0],
+                self.clients - doomed,
+            ),
+            Gate("replica_set_down_failed", two_down[1], 0),
+            Gate("shed_untyped", self.shed_untyped, 0),
+            Gate("unexpected_sheds", self.unexpected_sheds, 0),
+            Gate("shed_rate", self.shed_rate, self.shed_ceiling, "<="),
             # the divergence planted while shards were dark was healed.
-            and self.read_repairs > 0
-        )
+            Gate("read_repairs", self.read_repairs, 0, ">"),
+        ]
+
+    @property
+    def passed(self) -> bool:
+        return all(gate.ok for gate in self.gates)
 
     def render(self) -> str:
         wave_names = ("healthy", "1-shard-down", "replica-set-down",
@@ -132,44 +147,10 @@ class ShardLossStormReport:
             f"untyped  unexpected: {self.unexpected_sheds}  "
             f"rate: {self.shed_rate:.2f} (ceiling {self.shed_ceiling:.2f})",
             f"  false auths: {self.false_authentications}",
-            f"  wall: {self.wall_seconds:.2f}s  "
-            f"verdict: {'PASS' if self.passed else 'FAIL'}",
+            f"  wall: {self.wall_seconds:.2f}s",
+            render_verdict(self.gates),
         ]
         return "\n".join(lines)
-
-
-class _SeedTripwire:
-    """Re-hash every found seed against the digest the client submitted."""
-
-    def __init__(self, authority: CertificateAuthority):
-        self._authority = authority
-        self.false_authentications = 0
-        self._digests: dict[str, bytes] = {}
-
-    def __getattr__(self, name):
-        return getattr(self._authority, name)
-
-    def expect(self, client_id: str, digest: bytes) -> None:
-        self._digests[client_id] = digest
-
-    def run_search(self, client_id, client_digest, deadline_seconds=None):
-        self.expect(client_id, client_digest)
-        result = self._authority.run_search(
-            client_id, client_digest, deadline_seconds=deadline_seconds
-        )
-        if result.found:
-            algo = get_hash(self._authority.hash_name)
-            if algo.scalar(result.seed) != client_digest:
-                self.false_authentications += 1
-        return result
-
-    def issue_public_key(self, client_id: str, found_seed: bytes) -> bytes:
-        expected = self._digests.get(client_id)
-        if expected is not None:
-            algo = get_hash(self._authority.hash_name)
-            if algo.scalar(found_seed) != expected:
-                self.false_authentications += 1
-        return self._authority.issue_public_key(client_id, found_seed)
 
 
 def _pick_victims(
@@ -281,7 +262,7 @@ def run_shard_loss_storm(
         shed_ceiling=shed_ceiling,
     )
 
-    tripwire = _SeedTripwire(authority)
+    tripwire = VerifyingAuthority(authority)
     start = time.perf_counter()
     with ConcurrentCAServer(tripwire, workers=workers,
                             max_queue=max(64, clients)) as server:
@@ -293,7 +274,7 @@ def run_shard_loss_storm(
                 digest = fleet[client_id].respond(
                     challenges[client_id], reference_mask=masks[client_id]
                 )
-                tripwire.expect(client_id, digest)
+                tripwire.record_digest(client_id, digest)
                 futures.append((client_id, server.submit(client_id, digest)))
             for client_id, future in futures:
                 try:
@@ -316,18 +297,27 @@ def run_shard_loss_storm(
                     failed += 1
             return authenticated, failed, shed
 
+        def drop_hot_caches() -> None:
+            # The prefetcher may still be warming ids from the last wave.
+            # A quorum read it made against the old shard set must land
+            # before the drop, not after it, or the next wave is served
+            # from a cache the drop was meant to empty (a doomed key
+            # would authenticate from it).
+            server.prefetcher.flush()
+            directory.drop_hot_caches()
+
         # wave 1: healthy baseline.
         report.waves.append(wave(set()))
 
         # wave 2: one whole shard dark, caches cold — replicas must carry.
         directory.kill_shard(victim)
-        directory.drop_hot_caches()
+        drop_hot_caches()
         report.waves.append(wave(set()))
 
         # wave 3: the replica partner dies too; the doomed keys must shed
         # typed, everyone else keeps authenticating.
         directory.kill_shard(partner)
-        directory.drop_hot_caches()
+        drop_hot_caches()
         report.waves.append(wave(set(doomed)))
 
         # While the shards are dark, survivors re-enroll: their writes
@@ -347,7 +337,7 @@ def run_shard_loss_storm(
         repairs_before = directory.read_repairs
         directory.revive_shard(victim)
         directory.revive_shard(partner)
-        directory.drop_hot_caches()
+        drop_hot_caches()
         report.waves.append(wave(set()))
         report.read_repairs = directory.read_repairs - repairs_before
 

@@ -29,6 +29,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.engines.registry import build_engine
+from repro.gates import Gate, render_verdict
 from repro.hashes.registry import get_hash
 
 from repro.sched.errors import RequestShed
@@ -65,15 +66,19 @@ class DeviceLossStormReport:
     snapshot: dict = field(default_factory=dict)
 
     @property
+    def gates(self) -> list[Gate]:
+        """The storm's hard invariants, one named gate each."""
+        return [
+            Gate("lost_requests", self.lost_requests, 0),
+            Gate("false_authentications", self.false_authentications, 0),
+            Gate("byte_mismatches", self.byte_mismatches, 0),
+            Gate("redispatched_chunks", self.redispatched_chunks, 0, ">"),
+            Gate("victim_reinstated", self.victim_reinstated, True),
+        ]
+
+    @property
     def passed(self) -> bool:
-        """The storm's hard invariants, as one flag."""
-        return (
-            self.lost_requests == 0
-            and self.false_authentications == 0
-            and self.byte_mismatches == 0
-            and self.redispatched_chunks > 0
-            and self.victim_reinstated
-        )
+        return all(gate.ok for gate in self.gates)
 
     def render(self) -> str:
         lines = [
@@ -91,8 +96,8 @@ class DeviceLossStormReport:
             f"  lost: {self.lost_requests}  "
             f"false auths: {self.false_authentications}  "
             f"byte mismatches: {self.byte_mismatches}",
-            f"  wall: {self.wall_seconds:.2f}s  "
-            f"verdict: {'PASS' if self.passed else 'FAIL'}",
+            f"  wall: {self.wall_seconds:.2f}s",
+            render_verdict(self.gates),
         ]
         return "\n".join(lines)
 

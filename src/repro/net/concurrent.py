@@ -349,7 +349,9 @@ class ConcurrentCAServer:
         service = self.authority.search_service
         start = time.perf_counter()
         try:
-            seed, directory_stats = self._enrolled_seed(client_id, tenant)
+            seed, directory_stats = self.authority.enrolled_seed_with_stats(
+                client_id, tenant
+            )
         except DirectoryUnavailable as exc:
             # The whole replica set for this key is down: degraded-mode
             # serving sheds the request with a typed reason instead of
@@ -416,8 +418,8 @@ class ConcurrentCAServer:
             public_key = None
             if result.found:
                 assert result.seed is not None
-                public_key = self._issue_public_key(
-                    client_id, result.seed, tenant
+                public_key = self.authority.issue_public_key(
+                    client_id, result.seed, tenant_id=tenant
                 )
             scheduling = result.scheduling
             fleet = result.fleet
@@ -450,30 +452,6 @@ class ConcurrentCAServer:
             self._in_flight_clients.discard(in_flight_key)
             self._pending -= 1
 
-    def _enrolled_seed(self, client_id: str, tenant: str = DEFAULT_TENANT):
-        """S_init plus directory telemetry; tolerates minimal doubles."""
-        # Positional for default-tenant calls so authority doubles
-        # (tests, adapters) predating the tenant parameter keep working.
-        args = (
-            (client_id,)
-            if tenant == DEFAULT_TENANT
-            else (client_id, tenant)
-        )
-        with_stats = getattr(self.authority, "enrolled_seed_with_stats", None)
-        if with_stats is not None:
-            return with_stats(*args)
-        return self.authority.enrolled_seed(*args), None
-
-    def _issue_public_key(
-        self, client_id: str, seed: bytes, tenant: str
-    ) -> bytes:
-        """Key issuance, omitting the tenant for legacy authority doubles."""
-        if tenant == DEFAULT_TENANT:
-            return self.authority.issue_public_key(client_id, seed)
-        return self.authority.issue_public_key(
-            client_id, seed, tenant_id=tenant
-        )
-
     def _search(
         self,
         client_id: str,
@@ -481,17 +459,16 @@ class ConcurrentCAServer:
         deadline_seconds: float | None = None,
         tenant: str = DEFAULT_TENANT,
     ):
-        # Only pass the deadline/tenant when set: authority doubles
-        # (tests, adapters) predating the parameters keep working.
-        kwargs = (
-            {"deadline_seconds": deadline_seconds}
-            if deadline_seconds is not None
-            else {}
-        )
-        if tenant != DEFAULT_TENANT:
-            kwargs["tenant_id"] = tenant
+        def search():
+            return self.authority.run_search(
+                client_id,
+                digest,
+                deadline_seconds=deadline_seconds,
+                tenant_id=tenant,
+            )
+
         if self.breaker is None:
-            return self.authority.run_search(client_id, digest, **kwargs)
+            return search()
         # A directory outage is the *directory's* failure, not the search
         # backend's: it must not count against the breaker guarding the
         # search engine (that would convert typed degraded-mode sheds
@@ -501,7 +478,7 @@ class ConcurrentCAServer:
 
         def guarded():
             try:
-                return self.authority.run_search(client_id, digest, **kwargs)
+                return search()
             except DirectoryUnavailable as exc:
                 smuggled.append(exc)
                 return None
@@ -548,7 +525,9 @@ class ConcurrentCAServer:
         public_key = None
         if result.found:
             assert result.seed is not None
-            public_key = self._issue_public_key(client_id, result.seed, tenant)
+            public_key = self.authority.issue_public_key(
+                client_id, result.seed, tenant_id=tenant
+            )
         amortized = getattr(result, "amortized", None)
         self.metrics.record(
             completed=1,

@@ -31,9 +31,9 @@ from repro.core import (
     CertificateAuthority,
     RegistrationAuthority,
 )
+from repro.core.authentication import VerifyingAuthority
 from repro.core.protocol import ClientDevice
 from repro.core.salting import HashChainSalt
-from repro.hashes.registry import get_hash
 from repro.keygen.interface import get_keygen
 from repro.net.client import NetworkClient
 from repro.net.concurrent import ConcurrentCAServer
@@ -62,8 +62,6 @@ __all__ = [
     "NAMED_PLANS",
     "run_storm",
     "run_named_storm",
-    "run_device_loss_storm",
-    "run_shard_loss_storm",
 ]
 
 
@@ -143,59 +141,12 @@ NAMED_PLANS: dict[str, tuple[FaultSpec, StormConfig]] = {
 }
 
 
-class _VerifyingAuthority:
-    """Delegates to a CertificateAuthority, re-verifying every find.
-
-    The chaos harness's tripwire: if the search backend ever claims a
-    seed whose digest does not match the submitted ``M1``, that is a
-    false authentication and the report must count it.
-    """
-
-    def __init__(self, authority: CertificateAuthority):
-        self._authority = authority
-        self.false_authentications = 0
-        self._submitted_digests: dict[str, bytes] = {}
-
-    def __getattr__(self, name):
-        return getattr(self._authority, name)
-
-    def record_digest(self, client_id: str, client_digest: bytes) -> None:
-        """Remember the M1 a client submitted (scheduler-path tripwire)."""
-        self._submitted_digests[client_id] = client_digest
-
-    def run_search(
-        self,
-        client_id: str,
-        client_digest: bytes,
-        deadline_seconds: float | None = None,
-    ):
-        self.record_digest(client_id, client_digest)
-        result = self._authority.run_search(
-            client_id, client_digest, deadline_seconds=deadline_seconds
-        )
-        if result.found:
-            algo = get_hash(self._authority.hash_name)
-            if algo.scalar(result.seed) != client_digest:
-                self.false_authentications += 1
-        return result
-
-    def issue_public_key(self, client_id: str, found_seed: bytes) -> bytes:
-        # The scheduler-backed server bypasses run_search (it feeds the
-        # shared work stream directly), so the verification tripwire
-        # lives here too: every key issuance re-checks the found seed
-        # against the digest the client actually submitted.
-        expected = self._submitted_digests.get(client_id)
-        if expected is not None:
-            algo = get_hash(self._authority.hash_name)
-            if algo.scalar(found_seed) != expected:
-                self.false_authentications += 1
-        return self._authority.issue_public_key(client_id, found_seed)
-
-
 class _StormFrontend:
     """CAServer-shaped facade over the concurrent server for NetworkClient."""
 
-    def __init__(self, authority, concurrent: ConcurrentCAServer):
+    def __init__(
+        self, authority: VerifyingAuthority, concurrent: ConcurrentCAServer
+    ):
         self.authority = authority
         self.concurrent = concurrent
 
@@ -211,9 +162,7 @@ class _StormFrontend:
         )
 
     def handle_digest(self, submission: DigestSubmission) -> AuthenticationResult:
-        record = getattr(self.authority, "record_digest", None)
-        if record is not None:
-            record(submission.client_id, submission.digest)
+        self.authority.record_digest(submission.client_id, submission.digest)
         try:
             future = self.concurrent.submit(
                 submission.client_id,
@@ -224,20 +173,11 @@ class _StormFrontend:
             raise ServerBusy(str(exc)) from exc
         try:
             return future.result(timeout=300)
-        except RequestShed:
+        except (RequestShed, DeviceFailure):
             # The scheduler gave up on the request at runtime (deadline
-            # or shutdown): a clean, observable rejection.
-            return AuthenticationResult(
-                client_id=submission.client_id,
-                authenticated=False,
-                distance=None,
-                public_key=None,
-                search_seconds=0.0,
-                timed_out=True,
-            )
-        except DeviceFailure:
-            # The backend died with no failover in place: report a clean
-            # rejection; the client's retry policy decides what's next.
+            # or shutdown), or the backend died with no failover in
+            # place: a clean, observable rejection; the client's retry
+            # policy decides what's next.
             return AuthenticationResult(
                 client_id=submission.client_id,
                 authenticated=False,
@@ -317,7 +257,7 @@ def run_storm(
         max_distance=config.max_distance,
     )
     authority.search_service = service
-    verifying = _VerifyingAuthority(authority)
+    verifying = VerifyingAuthority(authority)
 
     scheduler_engine = None
     if config.scheduler:
@@ -411,36 +351,3 @@ def run_named_storm(
     if workers is not None:
         config = replace(config, workers=workers)
     return run_storm(spec, seed, config)
-
-
-def run_device_loss_storm(*args, **kwargs):
-    """Device-loss storm over the multi-device fleet — see :mod:`repro.fleet.storm`.
-
-    A different chaos axis from :data:`NAMED_PLANS` (which stress one
-    engine behind a failover stack): here a whole *device* in a
-    :class:`~repro.fleet.engine.FleetSearchEngine` is killed mid-run and
-    the fleet must re-dispatch its orphaned chunks. Delegates so callers
-    have one chaos namespace; deliberately not a named plan because its
-    report type differs (:class:`~repro.fleet.storm.DeviceLossStormReport`).
-    """
-    from repro.fleet.storm import run_device_loss_storm as _run
-
-    return _run(*args, **kwargs)
-
-
-def run_shard_loss_storm(*args, **kwargs):
-    """Shard-loss storm over the enrollment directory — see
-    :mod:`repro.directory.storm`.
-
-    A third chaos axis: :data:`NAMED_PLANS` stress the search engine,
-    :func:`run_device_loss_storm` kills a compute device, and this one
-    kills whole *enrollment shards* — first one (replica failover must
-    carry every read), then a full replica set (exactly the doomed keys
-    must shed typed, nothing may error or falsely authenticate), then
-    both revive (read repair must heal the divergence planted while they
-    were dark). Delegates so callers have one chaos namespace; its
-    report type is :class:`~repro.directory.storm.ShardLossStormReport`.
-    """
-    from repro.directory.storm import run_shard_loss_storm as _run
-
-    return _run(*args, **kwargs)

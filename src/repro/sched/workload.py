@@ -7,8 +7,10 @@ of them, while the continuous batcher serves all of them from the same
 device batches. Both the ``repro sched`` CLI and
 ``benchmarks/bench_scheduler.py`` need the same apparatus to show that:
 a deterministic mixed-depth request fleet, a FIFO reference run, a
-scheduled run, and per-depth latency summaries. It lives here so the two
-entry points cannot drift apart.
+scheduled run, per-depth latency summaries, the shallow-p99 gate and the
+rendering (:func:`compare_fifo_and_scheduled`, :func:`comparison_gates`,
+:func:`render_comparison`). It lives here so the two entry points cannot
+drift apart.
 """
 
 from __future__ import annotations
@@ -21,7 +23,10 @@ import numpy as np
 
 from repro._bitutils import SEED_BITS, flip_bits
 from repro.analysis.metrics import percentile
+from repro.engines.registry import build_engine
 from repro.engines.result import SearchEngine
+from repro.gates import Gate, render_verdict
+from repro.hashes.registry import get_hash
 from repro.sched.errors import RequestShed
 
 if TYPE_CHECKING:
@@ -34,11 +39,17 @@ __all__ = [
     "run_fifo",
     "run_scheduled",
     "summarize_latencies",
+    "compare_fifo_and_scheduled",
+    "comparison_gates",
+    "render_comparison",
 ]
 
 #: "Shallow" for reporting purposes: the interactive request depths the
 #: paper's threshold comfortably covers on a single device.
 SHALLOW_DISTANCE = 2
+
+#: Latency classes the summaries and the rendering report, in order.
+_CLASSES = ("shallow", "deep", "all")
 
 
 @dataclass(frozen=True)
@@ -249,3 +260,133 @@ def summarize_latencies(outcomes: list[RequestOutcome]) -> dict:
         "shallow": stats(shallow),
         "deep": stats(deep),
     }
+
+
+def compare_fifo_and_scheduled(
+    hash_name: str = "sha1",
+    requests: int = 16,
+    depths: tuple[int, ...] = (1, 2, 3, 4),
+    time_budget: float = 3.0,
+    batch_size: int = 16384,
+    seed: int = 0,
+    deadline_seconds: float | None = None,
+) -> dict:
+    """Serve one mixed fleet FIFO, then scheduled; return the record.
+
+    FIFO runs on a cached ``batch`` engine in submission order; the
+    scheduled run admits every request at once into a ``sched:`` engine.
+    """
+    algo = get_hash(hash_name)
+    workload = mixed_workload(
+        algo,
+        requests=requests,
+        depths=depths,
+        seed=seed,
+        deadline_seconds=deadline_seconds,
+    )
+    fifo_engine = build_engine(
+        "batch", hash_name=hash_name, batch_size=batch_size, cache=True
+    )
+    fifo = summarize_latencies(run_fifo(fifo_engine, workload, time_budget))
+
+    sched_engine = build_engine(
+        "sched", hash_name=hash_name, batch_size=batch_size
+    )
+    try:
+        sched = summarize_latencies(
+            run_scheduled(sched_engine, workload, time_budget)
+        )
+        snapshot = sched_engine.scheduler.snapshot()
+    finally:
+        sched_engine.close()
+
+    fifo_p99 = fifo["shallow"].get("p99_seconds")
+    sched_p99 = sched["shallow"].get("p99_seconds")
+    return {
+        "config": {
+            "hash_name": hash_name,
+            "requests": requests,
+            "depths": list(depths),
+            "time_budget": time_budget,
+            "batch_size": batch_size,
+            "seed": seed,
+            "deadline_seconds": deadline_seconds,
+        },
+        "fifo": fifo,
+        "scheduled": sched,
+        "shallow_p99_fifo_seconds": fifo_p99,
+        "shallow_p99_scheduled_seconds": sched_p99,
+        "shallow_p99_speedup": (
+            fifo_p99 / sched_p99 if fifo_p99 and sched_p99 else None
+        ),
+        "scheduler": {
+            "batches": snapshot["batches"],
+            "shared_batches": snapshot["shared_batches"],
+            "shed": snapshot["shed"],
+            "preempted": snapshot["preempted"],
+            "peak_queue_depth": snapshot["peak_queue_depth"],
+            "batches_by_lane": snapshot["batches_by_lane"],
+        },
+    }
+
+
+def comparison_gates(record: dict) -> list[Gate]:
+    """The scheduler must not serve shallow requests worse than FIFO.
+
+    A fleet without shallow requests has no shallow p99, so no gate.
+    """
+    if record["fifo"]["shallow"]["count"] == 0:
+        return []
+    return [
+        Gate(
+            "shallow_p99_scheduled_seconds",
+            record["shallow_p99_scheduled_seconds"],
+            record["shallow_p99_fifo_seconds"],
+            "<=",
+        )
+    ]
+
+
+def render_comparison(record: dict, gates: list[Gate]) -> str:
+    """The comparison as text, ending in the verdict over ``gates``."""
+    config = record["config"]
+
+    def row(label: str, stats: dict) -> str:
+        if stats["count"] == 0:
+            return f"    {label:<8} (no requests)"
+        return (
+            f"    {label:<8} n={stats['count']:<3} "
+            f"p50={stats['p50_seconds']:.3f}s "
+            f"p99={stats['p99_seconds']:.3f}s "
+            f"max={stats['max_seconds']:.3f}s "
+            f"found={stats['found']} timed_out={stats['timed_out']} "
+            f"shed={stats['shed']}"
+        )
+
+    lines = [
+        "Scheduler — shallow tail latency on a mixed-depth fleet",
+        f"  {config['requests']} requests, depths {config['depths']}, "
+        f"T={config['time_budget']}s, hash={config['hash_name']}, "
+        f"bs={config['batch_size']}",
+        "  FIFO (submission order, one device):",
+        *(row(label, record["fifo"][label]) for label in _CLASSES),
+        "  scheduled (continuous batching, EDF lanes):",
+        *(row(label, record["scheduled"][label]) for label in _CLASSES),
+    ]
+    sched = record["scheduler"]
+    lines.append(
+        f"  scheduler: batches={sched['batches']} "
+        f"shared={sched['shared_batches']} shed={sched['shed']} "
+        f"preempted={sched['preempted']} "
+        f"peak_queue={sched['peak_queue_depth']}"
+    )
+    speedup = record["shallow_p99_speedup"]
+    if record["shallow_p99_fifo_seconds"] is not None:
+        lines.append(
+            f"  shallow p99: FIFO {record['shallow_p99_fifo_seconds']:.3f}s "
+            f"-> scheduled {record['shallow_p99_scheduled_seconds']:.3f}s"
+            + (f"  ({speedup:.1f}x)" if speedup is not None else "")
+        )
+    lines.append(render_verdict(gates))
+    return "\n".join(lines)
+

@@ -76,9 +76,9 @@ class TestConcurrentServer:
         gate = threading.Event()
         original = authority.run_search
 
-        def gated(cid, d):
+        def gated(cid, d, **kwargs):
             gate.wait(timeout=30)
-            return original(cid, d)
+            return original(cid, d, **kwargs)
 
         authority.run_search = gated
         try:
@@ -101,9 +101,9 @@ class TestConcurrentServer:
         gate = threading.Event()
         original = authority.run_search
 
-        def gated(client_id, digest):
+        def gated(client_id, digest, **kwargs):
             gate.wait(timeout=30)
-            return original(client_id, digest)
+            return original(client_id, digest, **kwargs)
 
         authority.run_search = gated
         try:
@@ -155,7 +155,7 @@ class TestConcurrentServer:
         authority, clients = fleet_authority
         original = authority.run_search
 
-        def exploding(client_id, digest):
+        def exploding(client_id, digest, **kwargs):
             raise RuntimeError("backend died")
 
         authority.run_search = exploding
@@ -436,9 +436,9 @@ class TestAdmissionControlUnderConcurrency:
         gate = threading.Event()
         original = authority.run_search
 
-        def gated(client_id, digest):
+        def gated(client_id, digest, **kwargs):
             gate.wait(timeout=30)
-            return original(client_id, digest)
+            return original(client_id, digest, **kwargs)
 
         authority.run_search = gated
         max_queue = 3
@@ -520,7 +520,7 @@ class TestAdmissionControlUnderConcurrency:
         )
         original = authority.run_search
 
-        def exploding(client_id, digest):
+        def exploding(client_id, digest, **kwargs):
             raise RuntimeError("sick accelerator")
 
         authority.run_search = exploding
@@ -596,3 +596,75 @@ class TestFleetBackedServer:
         snapshot = server.metrics.snapshot()
         assert snapshot["authenticated"] == len(results)
         assert snapshot["queue_depth_peak"] >= 1
+
+
+class _LyingTicket:
+    """A scheduler ticket whose found seed is swapped for a wrong one."""
+
+    def __init__(self, ticket, seed):
+        self._ticket = ticket
+        self._seed = seed
+
+    def add_done_callback(self, fn):
+        self._ticket.add_done_callback(lambda _ticket: fn(self))
+
+    def result(self, timeout=None):
+        import dataclasses
+
+        return dataclasses.replace(
+            self._ticket.result(timeout=timeout), seed=self._seed
+        )
+
+
+class _LyingService:
+    """A search service whose found seed is swapped for a wrong one."""
+
+    def __init__(self, service, seed):
+        self._service = service
+        self._seed = seed
+
+    def __getattr__(self, name):
+        return getattr(self._service, name)
+
+    def find_seed(self, *args, **kwargs):
+        import dataclasses
+
+        return dataclasses.replace(
+            self._service.find_seed(*args, **kwargs), seed=self._seed
+        )
+
+
+class TestFalseAuthenticationTripwire:
+    """A found seed that does not hash to the submitted M1 is counted,
+    whichever serving path issued the key."""
+
+    @pytest.mark.parametrize("mode", ["fifo", "sched"])
+    def test_wrong_found_seed_is_a_false_authentication(
+        self, fleet_authority, mode
+    ):
+        from repro.core.authentication import VerifyingAuthority
+        from repro.engines import build_engine
+
+        authority, clients = fleet_authority
+        client_id, device, mask = clients[0]
+        digest = _digest_for(authority, client_id, device, mask)
+        wrong_seed = bytes(32)
+        scheduler = None
+        if mode == "fifo":
+            authority.search_service = _LyingService(
+                authority.search_service, wrong_seed
+            )
+        else:
+            scheduler = build_engine("sched", hash_name="sha1", batch_size=8192)
+            submit = scheduler.submit
+            scheduler.submit = lambda *a, **kw: _LyingTicket(
+                submit(*a, **kw), wrong_seed
+            )
+        verifying = VerifyingAuthority(authority)
+        verifying.record_digest(client_id, digest)
+        with ConcurrentCAServer(
+            verifying, workers=1, scheduler=scheduler
+        ) as server:
+            result = server.submit(client_id, digest).result(timeout=60)
+        assert result.authenticated
+        assert verifying.false_authentications == 1

@@ -623,7 +623,7 @@ class TestDeploymentProcesses:
             spec, seed=5, requests=5, duration_seconds=1.0,
             num_loadgens=1, time_scale=1.0, scratch_dir=tmp_path,
         )
-        assert report.passed, report.gate_failures
+        assert report.passed, report.render()
         assert report.outcomes.get("authenticated") == 5
         assert report.false_authentications == 0
         assert report.drained

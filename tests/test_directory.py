@@ -481,26 +481,21 @@ class TestDegradedServing:
 
 
 class TestShardLossStorm:
-    def test_reduced_storm_passes_and_reproduces(self):
+    # Seed 1 once lost a race: a prefetch made before the partner shard
+    # died landed in the hot cache after the drop, so a doomed key
+    # authenticated in the replica-set-down wave.
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_reduced_storm_passes_and_reproduces(self, seed):
         from repro.directory.storm import run_shard_loss_storm
 
-        first = run_shard_loss_storm(seed=0, clients=12, workers=2)
+        first = run_shard_loss_storm(seed=seed, clients=12, workers=2)
         assert first.passed, first.render()
         assert first.false_authentications == 0
         assert first.shed_typed == len(first.doomed)
         assert first.shed_untyped == 0
-        second = run_shard_loss_storm(seed=0, clients=12, workers=2)
+        second = run_shard_loss_storm(seed=seed, clients=12, workers=2)
         assert second.waves == first.waves
         assert second.doomed == first.doomed
         assert (second.victim, second.partner) == (
             first.victim, first.partner
         )
-
-    def test_chaos_namespace_delegates(self):
-        from repro.directory.storm import run_shard_loss_storm as direct
-        from repro.reliability.chaos import run_shard_loss_storm as via_chaos
-
-        assert via_chaos.__module__ == "repro.reliability.chaos"
-        assert direct.__module__ == "repro.directory.storm"
-        report = via_chaos(seed=1, clients=10, workers=2)
-        assert report.passed, report.render()

@@ -474,12 +474,3 @@ class TestDeviceLossStorm:
     def test_storm_requires_a_survivor(self):
         with pytest.raises(ValueError):
             run_device_loss_storm(devices=("host",))
-
-    def test_chaos_namespace_delegates(self):
-        from repro.reliability.chaos import (
-            run_device_loss_storm as delegated,
-        )
-
-        report = delegated(seed=1, requests=4, depths=(1, 2))
-        assert report.lost_requests == 0
-        assert report.false_authentications == 0
