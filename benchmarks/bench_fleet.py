@@ -31,12 +31,11 @@ import dataclasses
 import time
 from pathlib import Path
 
-from repro.analysis.metrics import percentile
 from repro.fleet import FleetSearchEngine
 from repro.gates import Gate, exit_code, render_verdict, write_record
 from repro.hashes.registry import get_hash
-from repro.sched.errors import RequestShed
 from repro.sched.workload import mixed_workload
+from repro.storm import drive, summarize
 
 FULL_SCALE = {
     "requests": 12,
@@ -46,7 +45,7 @@ FULL_SCALE = {
 }
 
 
-def _run_workload(
+def _serve(
     devices: tuple[str, ...],
     workload,
     algo,
@@ -58,51 +57,33 @@ def _run_workload(
     engine = FleetSearchEngine(
         *devices, hash_name=hash_name, batch_size=batch_size, **engine_kwargs
     )
-    latencies: list[float] = []
-    lost = false_auths = shed = found = 0
     start = time.perf_counter()
     try:
-        tickets = [
-            (
-                request,
-                engine.submit(
-                    request.base_seed,
-                    request.target_digest,
-                    request.max_distance,
-                    client_id=request.client_id,
-                ),
-            )
-            for request in workload
-        ]
-        for request, ticket in tickets:
-            try:
-                result = ticket.result(timeout=300.0)
-            except RequestShed:
-                shed += 1
-                continue
-            except TimeoutError:
-                lost += 1
-                continue
-            latencies.append(time.perf_counter() - start)
-            if result.found:
-                found += 1
-                if algo.hash_seed(result.seed) != request.target_digest:
-                    false_auths += 1
+        outcomes = drive(
+            lambda r: engine.submit(
+                r.base_seed,
+                r.target_digest,
+                r.max_distance,
+                client_id=r.client_id,
+            ),
+            workload,
+            timeout=300.0,
+        )
         wall = time.perf_counter() - start
         snapshot = engine.scheduler.snapshot()
     finally:
         engine.close(drain=False)
+    summary = summarize(outcomes)
     return {
         "devices": list(devices),
         "wall_seconds": wall,
-        "resolved": len(latencies) + shed,
-        "found": found,
-        "shed": shed,
-        "lost": lost,
-        "false_authentications": false_auths,
-        "p50_seconds": percentile(latencies, 50) if latencies else None,
-        "p99_seconds": percentile(latencies, 99) if latencies else None,
-        "throughput_rps": len(latencies) / wall if wall > 0 else 0.0,
+        **summary,
+        "false_authentications": sum(
+            1
+            for o in outcomes
+            if o.found and algo.hash_seed(o.result.seed) != o.request.target_digest
+        ),
+        "throughput_rps": summary["served"] / wall if wall > 0 else 0.0,
         "hedges_launched": snapshot["hedges_launched"],
         "hedge_wins": snapshot["hedge_wins"],
         "redispatched_chunks": snapshot["redispatched_chunks"],
@@ -125,10 +106,10 @@ def run_benchmark(
     workload = mixed_workload(
         algo, requests=requests, depths=depths, seed=seed
     )
-    single = _run_workload(
+    single = _serve(
         ("host",), workload, algo, hash_name, batch_size
     )
-    dual = _run_workload(
+    dual = _serve(
         ("host", "host"), workload, algo, hash_name, batch_size
     )
     scaling_ratio = (
@@ -147,7 +128,7 @@ def run_benchmark(
             algo, requests=straggler_requests, depths=(2,), seed=seed + 1
         )
     ]
-    unhedged = _run_workload(
+    unhedged = _serve(
         ("host", "slow-host"),
         straggler_workload,
         algo,
@@ -156,7 +137,7 @@ def run_benchmark(
         slow_factor=slow_factor,
         hedge_factor=0.0,  # disables hedging
     )
-    hedged = _run_workload(
+    hedged = _serve(
         ("host", "slow-host"),
         straggler_workload,
         algo,
@@ -183,8 +164,9 @@ def run_benchmark(
         "unhedged": unhedged,
         "hedged": hedged,
     }
+    # An untyped error resolves nothing either: it counts as lost.
     record["lost_requests"] = sum(
-        section["lost"]
+        section["lost"] + section["errors"]
         for section in (single, dual, unhedged, hedged)
     )
     record["false_authentications"] = sum(

@@ -349,8 +349,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
     from repro.fleet.engine import FleetSearchEngine
     from repro.hashes.registry import get_hash
-    from repro.sched.errors import RequestShed
     from repro.sched.workload import mixed_workload
+    from repro.storm import drive
 
     algo = get_hash(args.hash)
     workload = mixed_workload(
@@ -359,39 +359,38 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     engine = FleetSearchEngine(
         *devices, hash_name=args.hash, batch_size=args.batch_size
     )
-    found = shed = 0
     try:
-        tickets = [
-            (
-                request,
-                engine.submit(
-                    request.base_seed,
-                    request.target_digest,
-                    request.max_distance,
-                    time_budget=args.budget,
-                    client_id=request.client_id,
-                ),
-            )
-            for request in workload
-        ]
-        for request, ticket in tickets:
-            try:
-                result = ticket.result(timeout=300.0)
-            except RequestShed as exc:
-                shed += 1
-                print(f"  {request.client_id}: shed ({exc.reason})")
-                continue
-            found += 1 if result.found else 0
-            stats = result.fleet
-            device = stats.finder_device if stats else "?"
-            print(
-                f"  {request.client_id}: found={result.found} "
-                f"d={result.distance} device={device} "
-                f"elapsed={result.elapsed_seconds:.3f}s"
-            )
+        outcomes = drive(
+            lambda r: engine.submit(
+                r.base_seed,
+                r.target_digest,
+                r.max_distance,
+                time_budget=args.budget,
+                client_id=r.client_id,
+            ),
+            workload,
+            timeout=300.0,
+        )
         snapshot = engine.scheduler.snapshot()
     finally:
         engine.close()
+    for outcome in outcomes:
+        client_id, result = outcome.request.client_id, outcome.result
+        if outcome.shed:
+            print(f"  {client_id}: shed ({outcome.shed_reason})")
+            continue
+        if not outcome.served:
+            print(f"  {client_id}: {outcome.error or 'lost'}")
+            continue
+        stats = result.fleet
+        device = stats.finder_device if stats else "?"
+        print(
+            f"  {client_id}: found={result.found} "
+            f"d={result.distance} device={device} "
+            f"elapsed={result.elapsed_seconds:.3f}s"
+        )
+    found = sum(1 for o in outcomes if o.found)
+    shed = sum(1 for o in outcomes if o.shed)
     print(
         f"fleet {engine.describe()}: {found} found, {shed} shed; "
         f"batches={snapshot['batches']} "
@@ -424,12 +423,11 @@ def _cmd_directory(args: argparse.Namespace) -> int:
 
     import numpy as np
 
-    from repro.core.protocol import ClientDevice
-    from repro.directory import ShardedEnrollmentDirectory
-    from repro.net.concurrent import ConcurrentCAServer
-    from repro.puf.model import SRAMPuf
-    from repro.puf.ternary import enroll_with_masking
     from repro import quick_setup
+    from repro.directory import ShardedEnrollmentDirectory
+    from repro.hashes.registry import get_hash
+    from repro.net.concurrent import ConcurrentCAServer
+    from repro.storm import enroll_fleet, plant
 
     authority, _client, _mask = quick_setup(seed=args.seed, max_distance=2)
     directory = ShardedEnrollmentDirectory(
@@ -440,24 +438,23 @@ def _cmd_directory(args: argparse.Namespace) -> int:
     authority.image_db = directory
 
     print(f"directory: {args.shards} shards, replication {args.replication}")
-    fleet = {}
     demo_clients = args.clients if args.clients is not None else 8
-    for index in range(demo_clients):
-        client_id = f"client-{index:02d}"
-        puf = SRAMPuf(num_cells=2048, stable_error=0.001,
-                      seed=args.seed * 1_000_003 + index)
-        mask = enroll_with_masking(puf, address=0, window=2048, reads=48,
-                                   instability_threshold=0.02)
-        authority.enroll(client_id, mask)
-        device = ClientDevice(client_id, puf, noise_target_distance=1,
-                              rng=np.random.default_rng((args.seed, index)))
-        fleet[client_id] = (device, authority.issue_challenge(client_id), mask)
+    fleet = enroll_fleet(authority, args.seed, range(demo_clients), 2048)
+    for client_id in fleet:
         replicas = ", ".join(directory.replicas_for(client_id))
         print(f"  enrolled {client_id} -> [{replicas}]")
+    # Each client's answer lies one bit flip from its enrolled image.
+    algo = get_hash(authority.hash_name)
+    rng = np.random.default_rng(args.seed)
+    digests = {
+        client_id: plant(algo, authority.enrolled_seed(client_id), 1, rng)
+        for client_id in fleet
+    }
+    # Planting read every record; start the first pass cold.
+    directory.drop_hot_caches()
 
     def authenticate_all(server):
-        for client_id, (device, challenge, mask) in fleet.items():
-            digest = device.respond(challenge, reference_mask=mask)
+        for client_id, digest in digests.items():
             result = server.submit(client_id, digest).result(timeout=60.0)
             stats = directory.snapshot()
             print(f"  {client_id}: authenticated={result.authenticated} "

@@ -4,9 +4,11 @@ A real deployment splits the protocol across OS processes, but both
 sides still need to agree on the enrolled PUF images: the server enrolls
 the fleet into its directory at startup, and each load-generator process
 reconstructs the *same* PUF (same seed, same masking reads) to produce
-digests the server can actually search for. The functions here are that
-shared contract — every parameter that feeds the PUF's RNG lives in one
-place, so the two sides cannot drift.
+digests the server can actually search for. Both sides build their slots
+with the one fleet builder, :func:`repro.storm.build_fleet_record`
+(re-exported here with :func:`~repro.storm.client_identity`), so every
+parameter that feeds the PUF's RNG lives in one place and the two sides
+cannot drift.
 
 The server wraps its CA in the false-authentication tripwire,
 :class:`~repro.core.authentication.VerifyingAuthority` (re-exported
@@ -30,8 +32,8 @@ from repro.deploy.topology import TopologySpec
 from repro.engines import build_engine
 from repro.keygen.interface import get_keygen
 from repro.puf.image_db import EncryptedImageDatabase
-from repro.puf.model import SRAMPuf
-from repro.puf.ternary import TernaryMask, enroll_with_masking
+from repro.puf.ternary import TernaryMask
+from repro.storm import build_fleet_record, client_identity
 from repro.tenancy.context import DEFAULT_TENANT, namespaced_key
 
 __all__ = [
@@ -44,17 +46,6 @@ __all__ = [
     "build_serving_stack",
     "VerifyingAuthority",
 ]
-
-#: Seed stride between client PUFs (same convention the chaos fleet uses).
-_CLIENT_SEED_STRIDE = 1_000_003
-#: Masking-enrollment parameters — must be identical on both sides.
-_ENROLL_READS = 8
-_ENROLL_INSTABILITY = 0.05
-
-
-def client_identity(index: int) -> str:
-    """The deterministic client id for fleet slot ``index``."""
-    return f"dep-{index:04d}"
 
 
 def fleet_index_of(client_id: str) -> int:
@@ -75,31 +66,6 @@ def tenant_for(index: int, tenants: tuple[str, ...]) -> str:
     if not tenants:
         return DEFAULT_TENANT
     return tenants[index % len(tenants)]
-
-
-def build_fleet_record(
-    seed: int, index: int, num_cells: int
-) -> tuple[str, SRAMPuf, TernaryMask]:
-    """(client_id, puf, mask) for one fleet slot — both sides call this.
-
-    The PUF is seeded from (storm seed, slot index) and the masking
-    enrollment consumes a fixed number of reads, so a server process and
-    a load-generator process that never share memory still derive the
-    byte-identical ternary mask.
-    """
-    puf = SRAMPuf(
-        num_cells=num_cells,
-        stable_error=0.001,
-        seed=seed * _CLIENT_SEED_STRIDE + index,
-    )
-    mask = enroll_with_masking(
-        puf,
-        address=0,
-        window=num_cells,
-        reads=_ENROLL_READS,
-        instability_threshold=_ENROLL_INSTABILITY,
-    )
-    return client_identity(index), puf, mask
 
 
 def build_client_device(

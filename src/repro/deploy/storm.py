@@ -31,6 +31,7 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
+from repro.analysis.metrics import percentile
 from repro.deploy.loadgen import spec_to_json
 from repro.deploy.supervisor import (
     ProcessDied,
@@ -132,14 +133,6 @@ class DeploymentReport:
 
     def render(self) -> str:
         return "\n".join(p.render() for p in self.profiles)
-
-
-def _percentile(values: list[float], q: float) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-    return ordered[int(rank)]
 
 
 def _child_env() -> dict[str, str]:
@@ -303,8 +296,8 @@ def run_profile(
         expected_requests=requests,
         requests=len(records),
         outcomes=dict(sorted(outcomes.items())),
-        latency_p50_ms=_percentile(completed, 0.50) * 1000.0,
-        latency_p99_ms=_percentile(completed, 0.99) * 1000.0,
+        latency_p50_ms=percentile(completed, 50) * 1000.0 if completed else 0.0,
+        latency_p99_ms=percentile(completed, 99) * 1000.0 if completed else 0.0,
         throughput_rps=(len(completed) / wall) if wall > 0 else 0.0,
         wall_seconds=wall,
         server_counters=counters,

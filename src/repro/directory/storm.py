@@ -38,24 +38,24 @@ seeded :class:`~repro.reliability.faults.FaultPlan`.
 from __future__ import annotations
 
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core import CertificateAuthority, RegistrationAuthority
 from repro.core.authentication import VerifyingAuthority
-from repro.core.protocol import ClientDevice
 from repro.core.salting import HashChainSalt
 from repro.core.search import RBCSearchService
 from repro.directory.sharded import ShardedEnrollmentDirectory
 from repro.engines.registry import build_engine
 from repro.gates import Gate, render_verdict
+from repro.hashes.registry import get_hash
 from repro.keygen.interface import get_keygen
 from repro.net.concurrent import ConcurrentCAServer
-from repro.puf.model import SRAMPuf
-from repro.puf.ternary import enroll_with_masking
 from repro.reliability.faults import FaultPlan, FaultSpec
-from repro.sched.errors import SHED_DIRECTORY_UNAVAILABLE, RequestShed
+from repro.sched.errors import SHED_DIRECTORY_UNAVAILABLE
+from repro.storm import drive, enroll_fleet, plant
 
 __all__ = ["ShardLossStormReport", "run_shard_loss_storm"]
 
@@ -196,7 +196,6 @@ def run_shard_loss_storm(
     re_enroll: int = 3,
 ) -> ShardLossStormReport:
     """Four deterministic waves against a sharded directory; see module doc."""
-    algo_seed = seed * 1_000_003
     directory = ShardedEnrollmentDirectory(
         master_key=b"storm-master-k!!",
         shards=shards,
@@ -218,38 +217,22 @@ def run_shard_loss_storm(
         hash_name=hash_name,
     )
 
-    fleet: dict[str, ClientDevice] = {}
-    masks = {}
-    challenges = {}
-    for index in range(clients):
-        client_id = f"client-{index:04d}"
-        puf = SRAMPuf(
-            num_cells=num_cells,
-            stable_error=0.001,
-            seed=algo_seed + index,
+    masks = enroll_fleet(authority, seed, range(clients), num_cells)
+    client_ids = sorted(masks)
+    # Answers planted one below the search radius: the storm's
+    # invariants are about the directory, not about how deep a search
+    # must go. Planting reads each record once, as the handshake would.
+    algo = get_hash(hash_name)
+    rng = np.random.default_rng(seed)
+    digests = {
+        client_id: plant(
+            algo,
+            authority.enrolled_seed(client_id),
+            max(0, max_distance - 1),
+            rng,
         )
-        mask = enroll_with_masking(
-            puf, address=0, window=num_cells, reads=32,
-            instability_threshold=0.02,
-        )
-        authority.enroll(client_id, mask)
-        # Noise target one below the search radius: the PUF's natural
-        # noise occasionally lands a read a bit past the injected target,
-        # and the storm's invariants are about the directory, not about
-        # honest-failure statistics.
-        fleet[client_id] = ClientDevice(
-            client_id,
-            puf,
-            noise_target_distance=max(0, max_distance - 1),
-            rng=np.random.default_rng((seed, index)),
-        )
-        masks[client_id] = mask
-        # Challenges are deterministic per client; capturing them at
-        # enrollment keeps the handshake off the directory so the storm
-        # measures the *search path's* degradation, not the handshake's.
-        challenges[client_id] = authority.issue_challenge(client_id)
-
-    client_ids = sorted(fleet)
+        for client_id in client_ids
+    }
     victim, partner, doomed = _pick_victims(directory, client_ids)
     report = ShardLossStormReport(
         seed=seed,
@@ -267,31 +250,22 @@ def run_shard_loss_storm(
     with ConcurrentCAServer(tripwire, workers=workers,
                             max_queue=max(64, clients)) as server:
 
+        def submit(client_id: str) -> Future:
+            tripwire.record_digest(client_id, digests[client_id])
+            return server.submit(client_id, digests[client_id])
+
         def wave(expect_shed: set[str]) -> tuple[int, int, int]:
             authenticated = failed = shed = 0
-            futures = []
-            for client_id in client_ids:
-                digest = fleet[client_id].respond(
-                    challenges[client_id], reference_mask=masks[client_id]
-                )
-                tripwire.record_digest(client_id, digest)
-                futures.append((client_id, server.submit(client_id, digest)))
-            for client_id, future in futures:
-                try:
-                    result = future.result(timeout=120.0)
-                except RequestShed as exc:
+            for outcome in drive(submit, client_ids):
+                if outcome.shed:
                     shed += 1
-                    if exc.reason == SHED_DIRECTORY_UNAVAILABLE:
+                    if outcome.shed_reason == SHED_DIRECTORY_UNAVAILABLE:
                         report.shed_typed += 1
                     else:
                         report.shed_untyped += 1
-                    if client_id not in expect_shed:
+                    if outcome.request not in expect_shed:
                         report.unexpected_sheds += 1
-                    continue
-                except Exception:
-                    failed += 1
-                    continue
-                if result.authenticated:
+                elif outcome.found:
                     authenticated += 1
                 else:
                     failed += 1

@@ -29,13 +29,12 @@ import time
 from dataclasses import dataclass, field
 
 from repro.engines.registry import build_engine
+from repro.fleet.dispatcher import FleetSearch
+from repro.fleet.engine import FleetSearchEngine
 from repro.gates import Gate, render_verdict
 from repro.hashes.registry import get_hash
-
-from repro.sched.errors import RequestShed
 from repro.sched.workload import WorkloadRequest, mixed_workload
-
-from repro.fleet.engine import FleetSearchEngine
+from repro.storm import drive, summarize
 
 __all__ = ["DeviceLossStormReport", "run_device_loss_storm"]
 
@@ -175,9 +174,7 @@ def run_device_loss_storm(
         elif count == revive_after:
             fleet.revive_device(victim)
 
-    start = time.perf_counter()
-    tickets = []
-    for request in workload:
+    def submit(request: WorkloadRequest) -> FleetSearch:
         ticket = engine.submit(
             request.base_seed,
             request.target_digest,
@@ -185,24 +182,21 @@ def run_device_loss_storm(
             client_id=request.client_id,
         )
         ticket.add_done_callback(_on_done)
-        tickets.append((request, ticket))
+        return ticket
 
-    for request, ticket in tickets:
-        try:
-            result = ticket.result(timeout=120.0)
-        except RequestShed:
-            report.resolved += 1
-            report.shed += 1
+    start = time.perf_counter()
+    outcomes = drive(submit, workload)
+    stats = summarize(outcomes)
+    report.found, report.shed = stats["found"], stats["shed"]
+    report.resolved = stats["served"] + stats["shed"]
+    # An untyped error resolves nothing either: it counts as lost.
+    report.lost_requests = stats["lost"] + stats["errors"]
+    for outcome in outcomes:
+        request, result = outcome.request, outcome.result
+        if result is None:
             continue
-        except TimeoutError:
-            report.lost_requests += 1
-            continue
-        report.resolved += 1
-        if result.found:
-            report.found += 1
-            assert result.seed is not None
-            if algo.hash_seed(result.seed) != request.target_digest:
-                report.false_authentications += 1
+        if result.found and algo.hash_seed(result.seed) != request.target_digest:
+            report.false_authentications += 1
         expected = truth[request.client_id]
         if (result.found, result.seed, result.distance) != expected:
             report.byte_mismatches += 1

@@ -48,6 +48,7 @@ from repro.tenancy.context import DEFAULT_TENANT, namespaced_key
 from repro.tenancy.registry import TenantRegistry
 
 if TYPE_CHECKING:
+    from repro.engines.result import SearchResult
     from repro.fleet.dispatcher import FleetSearch
     from repro.fleet.engine import FleetSearchEngine
 
@@ -411,41 +412,70 @@ class ConcurrentCAServer:
             future.set_exception(exc)
             return
         except BaseException as exc:  # pragma: no cover - defensive
-            self.metrics.record(failed=1, search_seconds=elapsed)
+            self.metrics.record(failed=1, search_seconds=elapsed, tenant_id=tenant)
             future.set_exception(exc)
             return
+        scheduling, fleet = result.scheduling, result.fleet
         try:
-            public_key = None
+            future.set_result(
+                self._complete(
+                    client_id,
+                    result,
+                    tenant,
+                    start,
+                    preempted=scheduling.preemptions if scheduling else 0,
+                    redispatched=fleet.redispatched_chunks if fleet else 0,
+                    hedged=fleet.hedged_batches if fleet else 0,
+                )
+            )
+        except BaseException as exc:
+            future.set_exception(exc)
+
+    def _complete(
+        self,
+        client_id: str,
+        result: SearchResult,
+        tenant: str,
+        start: float,
+        **counts: int,
+    ) -> AuthenticationResult:
+        """Issue the key, count the request, and build the reply.
+
+        The shared tail of both serving paths. A key issuance that raises
+        counts the request ``failed`` for its tenant, so ``submitted ==
+        completed + failed + pending`` holds either way.
+        """
+        public_key = None
+        try:
             if result.found:
                 assert result.seed is not None
                 public_key = self.authority.issue_public_key(
                     client_id, result.seed, tenant_id=tenant
                 )
-            scheduling = result.scheduling
-            fleet = result.fleet
+        except BaseException:
             self.metrics.record(
-                completed=1,
-                authenticated=1 if result.found else 0,
-                search_seconds=elapsed,
-                seeds_hashed=result.seeds_hashed,
-                shells_completed=len(result.shells),
-                preempted=scheduling.preemptions if scheduling else 0,
-                redispatched=fleet.redispatched_chunks if fleet else 0,
-                hedged=fleet.hedged_batches if fleet else 0,
+                failed=1,
+                search_seconds=time.perf_counter() - start,
                 tenant_id=tenant,
             )
-            future.set_result(
-                AuthenticationResult(
-                    client_id=client_id,
-                    authenticated=result.found,
-                    distance=result.distance,
-                    public_key=public_key,
-                    search_seconds=result.elapsed_seconds,
-                    timed_out=result.timed_out,
-                )
-            )
-        except BaseException as exc:  # pragma: no cover - defensive
-            future.set_exception(exc)
+            raise
+        self.metrics.record(
+            completed=1,
+            authenticated=1 if result.found else 0,
+            search_seconds=time.perf_counter() - start,
+            seeds_hashed=result.seeds_hashed,
+            shells_completed=len(result.shells),
+            tenant_id=tenant,
+            **counts,
+        )
+        return AuthenticationResult(
+            client_id=client_id,
+            authenticated=result.found,
+            distance=result.distance,
+            public_key=public_key,
+            search_seconds=result.elapsed_seconds,
+            timed_out=result.timed_out,
+        )
 
     def _release(self, in_flight_key: str) -> None:
         with self._lock:
@@ -522,35 +552,20 @@ class ConcurrentCAServer:
                 tenant_id=tenant,
             )
             raise
-        public_key = None
-        if result.found:
-            assert result.seed is not None
-            public_key = self.authority.issue_public_key(
-                client_id, result.seed, tenant_id=tenant
-            )
         amortized = getattr(result, "amortized", None)
-        self.metrics.record(
-            completed=1,
-            authenticated=1 if result.found else 0,
-            search_seconds=time.perf_counter() - start,
-            seeds_hashed=result.seeds_hashed,
-            shells_completed=len(result.shells),
+        reply = self._complete(
+            client_id,
+            result,
+            tenant,
+            start,
             plan_hits=amortized.plan_hits if amortized is not None else 0,
             plan_misses=amortized.plan_misses if amortized is not None else 0,
             pool_reuses=(
                 1 if amortized is not None and amortized.pool_reused else 0
             ),
-            tenant_id=tenant,
         )
         self.metrics.record_directory(getattr(result, "directory", None), tenant)
-        return AuthenticationResult(
-            client_id=client_id,
-            authenticated=result.found,
-            distance=result.distance,
-            public_key=public_key,
-            search_seconds=result.elapsed_seconds,
-            timed_out=result.timed_out,
-        )
+        return reply
 
     # -- lifecycle ------------------------------------------------------------
 

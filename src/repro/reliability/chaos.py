@@ -31,9 +31,9 @@ from repro.core import (
     CertificateAuthority,
     RegistrationAuthority,
 )
-from repro.core.authentication import VerifyingAuthority
-from repro.core.protocol import ClientDevice
+from repro.core.authentication import Challenge, VerifyingAuthority
 from repro.core.salting import HashChainSalt
+from repro.hashes.registry import get_hash
 from repro.keygen.interface import get_keygen
 from repro.net.client import NetworkClient
 from repro.net.concurrent import ConcurrentCAServer
@@ -46,8 +46,7 @@ from repro.net.messages import (
 )
 from repro.net.transport import US_LINK, InProcessTransport
 from repro.puf.image_db import EncryptedImageDatabase
-from repro.puf.model import SRAMPuf
-from repro.puf.ternary import enroll_with_masking
+from repro.puf.ternary import TernaryMask
 from repro.reliability.breaker import CircuitBreaker
 from repro.reliability.failover import FailoverSearchService
 from repro.reliability.faults import FaultPlan, FaultSpec, VirtualClock
@@ -56,6 +55,7 @@ from repro.reliability.transport import FaultyTransport
 from repro.engines import TelemetryHooks, build_engine
 from repro.devices.flaky import DeviceFailure, FlakyEngine
 from repro.sched.errors import RequestShed
+from repro.storm import enroll_fleet, plant
 
 __all__ = [
     "StormConfig",
@@ -188,37 +188,29 @@ class _StormFrontend:
             )
 
 
-def _enroll_fleet(spec_seed: int, config: StormConfig):
-    """Build a CA with ``config.clients`` enrolled PUF devices."""
-    authority = CertificateAuthority(
-        search_service=None,  # installed by run_storm
-        salt=HashChainSalt(),
-        keygen=get_keygen("aes-128"),
-        registration_authority=RegistrationAuthority(),
-        image_db=EncryptedImageDatabase(b"chaos-master-key"),
-        hash_name=config.hash_name,
-    )
-    clients = []
-    for index in range(config.clients):
-        puf = SRAMPuf(
-            num_cells=config.num_cells,
-            stable_error=0.001,
-            seed=spec_seed * 1_000_003 + index,
+@dataclass
+class _PlantedDevice:
+    """A fleet client whose every digest lands exactly ``distance`` flips
+    from its enrolled image.
+
+    The storm exercises the transport, the breaker and failover, not the
+    PUF: real reads on the shared fleet's masks can carry bits of noise
+    beyond ``max_distance``, so the digest is planted instead of read.
+    """
+
+    client_id: str
+    mask: TernaryMask
+    distance: int
+    rng: np.random.Generator
+
+    def respond(self, challenge: Challenge, reference_mask=None) -> bytes:
+        image = self.mask.reference_seed_bits(challenge.bit_count)
+        return plant(
+            get_hash(challenge.hash_name),
+            np.packbits(image).tobytes(),
+            self.distance,
+            self.rng,
         )
-        mask = enroll_with_masking(
-            puf, address=0, window=config.num_cells, reads=48,
-            instability_threshold=0.02,
-        )
-        client_id = f"client-{index:04d}"
-        authority.enroll(client_id, mask)
-        device = ClientDevice(
-            client_id,
-            puf,
-            noise_target_distance=config.noise_target_distance,
-            rng=np.random.default_rng((spec_seed, index)),
-        )
-        clients.append((client_id, device, mask))
-    return authority, clients
 
 
 def run_storm(
@@ -229,7 +221,24 @@ def run_storm(
     plan = FaultPlan(spec, seed)
     clock = VirtualClock()
 
-    authority, clients = _enroll_fleet(seed, config)
+    authority = CertificateAuthority(
+        search_service=None,  # the failover service, installed below
+        salt=HashChainSalt(),
+        keygen=get_keygen("aes-128"),
+        registration_authority=RegistrationAuthority(),
+        image_db=EncryptedImageDatabase(b"chaos-master-key"),
+        hash_name=config.hash_name,
+    )
+    masks = enroll_fleet(authority, seed, range(config.clients), config.num_cells)
+    clients = [
+        _PlantedDevice(
+            client_id,
+            mask,
+            config.noise_target_distance,
+            np.random.default_rng((seed, index)),
+        )
+        for index, (client_id, mask) in enumerate(masks.items())
+    ]
     device_injector = plan.device_injector(horizon=max(40, config.clients))
     # One telemetry tap across both backends: the report's engine
     # counters cover every batch either engine actually ran.
@@ -282,7 +291,7 @@ def run_storm(
         scheduler=scheduler_engine,
     ) as server:
         frontend = _StormFrontend(verifying, server)
-        for index, (client_id, device, mask) in enumerate(clients):
+        for index, device in enumerate(clients):
             transport = FaultyTransport(
                 InProcessTransport(latency=US_LINK),
                 plan.transport_injector(index),
@@ -290,7 +299,6 @@ def run_storm(
             network_client = NetworkClient(
                 device,
                 transport,
-                reference_mask=mask,
                 retry_policy=config.retry,
                 rng=plan.client_rng(index),
             )

@@ -6,39 +6,30 @@ FIFO makes the shallow requests wait out every deep search queued ahead
 of them, while the continuous batcher serves all of them from the same
 device batches. Both the ``repro sched`` CLI and
 ``benchmarks/bench_scheduler.py`` need the same apparatus to show that:
-a deterministic mixed-depth request fleet, a FIFO reference run, a
-scheduled run, per-depth latency summaries, the shallow-p99 gate and the
-rendering (:func:`compare_fifo_and_scheduled`, :func:`comparison_gates`,
+a deterministic mixed-depth request fleet, a FIFO reference run and a
+scheduled run (both through :func:`repro.storm.drive`), per-depth
+latency summaries, the shallow-p99 gate and the rendering
+(:func:`compare_fifo_and_scheduled`, :func:`comparison_gates`,
 :func:`render_comparison`). It lives here so the two entry points cannot
 drift apart.
 """
 
 from __future__ import annotations
 
-import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro._bitutils import SEED_BITS, flip_bits
-from repro.analysis.metrics import percentile
+from repro._bitutils import SEED_BITS
 from repro.engines.registry import build_engine
-from repro.engines.result import SearchEngine
 from repro.gates import Gate, render_verdict
 from repro.hashes.registry import get_hash
-from repro.sched.errors import RequestShed
-
-if TYPE_CHECKING:
-    from repro.fleet.engine import FleetSearchEngine
+from repro.storm import Outcome, drive, plant, summarize
 
 __all__ = [
     "WorkloadRequest",
-    "RequestOutcome",
     "mixed_workload",
-    "run_fifo",
-    "run_scheduled",
-    "summarize_latencies",
     "compare_fifo_and_scheduled",
     "comparison_gates",
     "render_comparison",
@@ -59,25 +50,10 @@ class WorkloadRequest:
     client_id: str
     base_seed: bytes
     target_digest: bytes
-    #: Where the answer actually lies (bits flipped from the base seed).
-    planted_distance: int
-    #: How deep this request's search is allowed to go.
+    #: How deep this request's search may go; the answer is planted
+    #: exactly this many bit flips from the base seed.
     max_distance: int
     deadline_seconds: float | None = None
-
-
-@dataclass(frozen=True)
-class RequestOutcome:
-    """What happened to one request, on either serving path."""
-
-    client_id: str
-    planted_distance: int
-    max_distance: int
-    latency_seconds: float
-    found: bool
-    timed_out: bool
-    shed: bool
-    shed_reason: str = ""
 
 
 def mixed_workload(
@@ -104,14 +80,11 @@ def mixed_workload(
     for index in range(requests):
         distance = depths[index % len(depths)]
         base_seed = rng.bytes(SEED_BITS // 8)
-        flips = rng.choice(SEED_BITS, size=distance, replace=False)
-        client_seed = flip_bits(base_seed, [int(b) for b in flips])
         fleet.append(
             WorkloadRequest(
                 client_id=f"wl-{index:04d}",
                 base_seed=base_seed,
-                target_digest=algo.hash_seed(client_seed),
-                planted_distance=distance,
+                target_digest=plant(algo, base_seed, distance, rng),
                 max_distance=distance,
                 deadline_seconds=(
                     deadline_seconds
@@ -123,143 +96,25 @@ def mixed_workload(
     return fleet
 
 
-def run_fifo(
-    engine: SearchEngine,
-    workload: list[WorkloadRequest],
-    time_budget: float,
-) -> list[RequestOutcome]:
-    """Serve the fleet in submission order on one device (the baseline).
-
-    All requests arrive at t=0; each one's latency includes the time it
-    spent queued behind everything submitted before it — exactly what a
-    FIFO worker over a single device does to a shallow request stuck
-    behind a deep straggler.
-    """
-    start = time.perf_counter()
-    outcomes = []
-    for request in workload:
-        result = engine.search(
-            request.base_seed,
-            request.target_digest,
-            request.max_distance,
-            time_budget=time_budget,
-        )
-        outcomes.append(
-            RequestOutcome(
-                client_id=request.client_id,
-                planted_distance=request.planted_distance,
-                max_distance=request.max_distance,
-                latency_seconds=time.perf_counter() - start,
-                found=result.found,
-                timed_out=result.timed_out,
-                shed=False,
-            )
-        )
-    return outcomes
-
-
-def run_scheduled(
-    engine: FleetSearchEngine,
-    workload: list[WorkloadRequest],
-    time_budget: float,
-) -> list[RequestOutcome]:
-    """Serve the same fleet through the continuous-batching scheduler."""
-    start = time.perf_counter()
-    tickets = []
-    for request in workload:
-        try:
-            ticket = engine.submit(
-                request.base_seed,
-                request.target_digest,
-                request.max_distance,
-                time_budget=time_budget,
-                deadline_seconds=request.deadline_seconds,
-                client_id=request.client_id,
-            )
-        except RequestShed as exc:
-            tickets.append((request, None, exc))
-            continue
-        tickets.append((request, ticket, None))
-    outcomes = []
-    for request, ticket, admission_error in tickets:
-        if ticket is None:
-            outcomes.append(
-                RequestOutcome(
-                    client_id=request.client_id,
-                    planted_distance=request.planted_distance,
-                    max_distance=request.max_distance,
-                    latency_seconds=time.perf_counter() - start,
-                    found=False,
-                    timed_out=False,
-                    shed=True,
-                    shed_reason=admission_error.reason,
-                )
-            )
-            continue
-        try:
-            result = ticket.result()
-        except RequestShed as exc:
-            outcomes.append(
-                RequestOutcome(
-                    client_id=request.client_id,
-                    planted_distance=request.planted_distance,
-                    max_distance=request.max_distance,
-                    latency_seconds=time.perf_counter() - start,
-                    found=False,
-                    timed_out=False,
-                    shed=True,
-                    shed_reason=exc.reason,
-                )
-            )
-            continue
-        scheduling = result.scheduling
-        finished = time.perf_counter() - start
-        if scheduling is not None:
-            # The ticket settled on the dispatcher thread; use its own
-            # clock (queue + service) rather than when we happened to
-            # collect it.
-            finished = min(
-                finished, scheduling.queue_seconds + scheduling.service_seconds
-            )
-        outcomes.append(
-            RequestOutcome(
-                client_id=request.client_id,
-                planted_distance=request.planted_distance,
-                max_distance=request.max_distance,
-                latency_seconds=finished,
-                found=result.found,
-                timed_out=result.timed_out,
-                shed=False,
-            )
-        )
-    return outcomes
-
-
-def summarize_latencies(outcomes: list[RequestOutcome]) -> dict:
-    """Per-class latency percentiles plus outcome counts."""
-
-    def stats(group: list[RequestOutcome]) -> dict:
-        if not group:
-            return {"count": 0}
-        latencies = [o.latency_seconds for o in group]
-        return {
-            "count": len(group),
-            "found": sum(1 for o in group if o.found),
-            "timed_out": sum(1 for o in group if o.timed_out),
-            "shed": sum(1 for o in group if o.shed),
-            "p50_seconds": round(percentile(latencies, 50), 6),
-            "p95_seconds": round(percentile(latencies, 95), 6),
-            "p99_seconds": round(percentile(latencies, 99), 6),
-            "max_seconds": round(max(latencies), 6),
-        }
-
-    shallow = [o for o in outcomes if o.max_distance <= SHALLOW_DISTANCE]
-    deep = [o for o in outcomes if o.max_distance > SHALLOW_DISTANCE]
+def _by_class(outcomes: list[Outcome[WorkloadRequest]]) -> dict:
+    """:func:`~repro.storm.summarize` per latency class."""
+    shallow = [o for o in outcomes if o.request.max_distance <= SHALLOW_DISTANCE]
+    deep = [o for o in outcomes if o.request.max_distance > SHALLOW_DISTANCE]
     return {
-        "all": stats(outcomes),
-        "shallow": stats(shallow),
-        "deep": stats(deep),
+        "all": summarize(outcomes),
+        "shallow": summarize(shallow),
+        "deep": summarize(deep),
     }
+
+
+def _shallow_p99(classes: dict) -> float | None:
+    """The shallow p99, or ``None`` (a failing gate) unless every shallow
+    request was served: a percentile over the survivors of a shed, lost
+    or raising request would hide exactly the failure the gate is for."""
+    shallow = classes["shallow"]
+    if shallow["served"] < shallow["count"]:
+        return None
+    return shallow["p99_seconds"]
 
 
 def compare_fifo_and_scheduled(
@@ -273,8 +128,10 @@ def compare_fifo_and_scheduled(
 ) -> dict:
     """Serve one mixed fleet FIFO, then scheduled; return the record.
 
-    FIFO runs on a cached ``batch`` engine in submission order; the
-    scheduled run admits every request at once into a ``sched:`` engine.
+    FIFO runs on a cached ``batch`` engine behind one worker, so every
+    request, all arriving at once, waits out the searches submitted
+    before it; the scheduled run admits every request at once into a
+    ``sched:`` engine.
     """
     algo = get_hash(hash_name)
     workload = mixed_workload(
@@ -287,21 +144,43 @@ def compare_fifo_and_scheduled(
     fifo_engine = build_engine(
         "batch", hash_name=hash_name, batch_size=batch_size, cache=True
     )
-    fifo = summarize_latencies(run_fifo(fifo_engine, workload, time_budget))
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        fifo = _by_class(
+            drive(
+                lambda r: worker.submit(
+                    fifo_engine.search,
+                    r.base_seed,
+                    r.target_digest,
+                    r.max_distance,
+                    time_budget=time_budget,
+                ),
+                workload,
+            )
+        )
 
     sched_engine = build_engine(
         "sched", hash_name=hash_name, batch_size=batch_size
     )
     try:
-        sched = summarize_latencies(
-            run_scheduled(sched_engine, workload, time_budget)
+        sched = _by_class(
+            drive(
+                lambda r: sched_engine.submit(
+                    r.base_seed,
+                    r.target_digest,
+                    r.max_distance,
+                    time_budget=time_budget,
+                    deadline_seconds=r.deadline_seconds,
+                    client_id=r.client_id,
+                ),
+                workload,
+            )
         )
         snapshot = sched_engine.scheduler.snapshot()
     finally:
         sched_engine.close()
 
-    fifo_p99 = fifo["shallow"].get("p99_seconds")
-    sched_p99 = sched["shallow"].get("p99_seconds")
+    fifo_p99 = _shallow_p99(fifo)
+    sched_p99 = _shallow_p99(sched)
     return {
         "config": {
             "hash_name": hash_name,
@@ -333,7 +212,8 @@ def compare_fifo_and_scheduled(
 def comparison_gates(record: dict) -> list[Gate]:
     """The scheduler must not serve shallow requests worse than FIFO.
 
-    A fleet without shallow requests has no shallow p99, so no gate.
+    A fleet without shallow requests has no shallow p99, so no gate. A
+    shallow request that either run left unserved fails the gate.
     """
     if record["fifo"]["shallow"]["count"] == 0:
         return []
@@ -354,13 +234,18 @@ def render_comparison(record: dict, gates: list[Gate]) -> str:
     def row(label: str, stats: dict) -> str:
         if stats["count"] == 0:
             return f"    {label:<8} (no requests)"
-        return (
-            f"    {label:<8} n={stats['count']:<3} "
+        tail = (
             f"p50={stats['p50_seconds']:.3f}s "
             f"p99={stats['p99_seconds']:.3f}s "
             f"max={stats['max_seconds']:.3f}s "
+            if stats["served"]
+            else "(nothing served) "
+        )
+        return (
+            f"    {label:<8} n={stats['count']:<3} {tail}"
             f"found={stats['found']} timed_out={stats['timed_out']} "
-            f"shed={stats['shed']}"
+            f"shed={stats['shed']} lost={stats['lost']} "
+            f"errors={stats['errors']}"
         )
 
     lines = [
@@ -381,10 +266,11 @@ def render_comparison(record: dict, gates: list[Gate]) -> str:
         f"peak_queue={sched['peak_queue_depth']}"
     )
     speedup = record["shallow_p99_speedup"]
-    if record["shallow_p99_fifo_seconds"] is not None:
+    fifo_p99 = record["shallow_p99_fifo_seconds"]
+    sched_p99 = record["shallow_p99_scheduled_seconds"]
+    if fifo_p99 is not None and sched_p99 is not None:
         lines.append(
-            f"  shallow p99: FIFO {record['shallow_p99_fifo_seconds']:.3f}s "
-            f"-> scheduled {record['shallow_p99_scheduled_seconds']:.3f}s"
+            f"  shallow p99: FIFO {fifo_p99:.3f}s -> scheduled {sched_p99:.3f}s"
             + (f"  ({speedup:.1f}x)" if speedup is not None else "")
         )
     lines.append(render_verdict(gates))

@@ -22,28 +22,32 @@ Three phases, same planted requests throughout:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
-from repro._bitutils import SEED_BITS, flip_bits
-from repro.analysis.metrics import percentile
 from repro.core.authentication import (
     CertificateAuthority,
     RegistrationAuthority,
 )
 from repro.core.salting import HashChainSalt
 from repro.core.search import RBCSearchService
-from repro.hashes.registry import get_hash
-from repro.keygen.interface import get_keygen
 from repro.directory.sharded import ShardedEnrollmentDirectory
 from repro.gates import Gate, render_verdict
+from repro.hashes.registry import get_hash
+from repro.keygen.interface import get_keygen
 from repro.net.concurrent import ConcurrentCAServer
-from repro.puf.model import SRAMPuf
-from repro.puf.ternary import enroll_with_masking
 from repro.runtime.executor import BatchSearchExecutor
-from repro.sched.errors import SHED_TENANT_QUOTA, RequestShed
+from repro.sched.errors import SHED_TENANT_QUOTA
+from repro.storm import (
+    Outcome,
+    client_identity,
+    drive,
+    enroll_fleet,
+    plant,
+    summarize,
+)
 from repro.tenancy.context import TenantContext, TenantQuota
 from repro.tenancy.registry import TenantRegistry
 
@@ -51,11 +55,7 @@ __all__ = [
     "VICTIM_TENANT",
     "AGGRESSOR_TENANT",
     "TenantRequest",
-    "TenantOutcome",
     "build_tenant_authority",
-    "plant_requests",
-    "run_requests",
-    "summarize_outcomes",
     "run_noisy_neighbor",
     "noisy_neighbor_gates",
     "render_noisy_neighbor",
@@ -74,6 +74,9 @@ AGGRESSOR_TENANT = "aggressor"
 VICTIM_DISTANCE = 2
 AGGRESSOR_DISTANCE = 1
 
+#: PUF cells per fleet slot.
+_NUM_CELLS = 2048
+
 
 @dataclass(frozen=True)
 class TenantRequest:
@@ -82,20 +85,6 @@ class TenantRequest:
     tenant_id: str
     client_id: str
     digest: bytes
-    planted_distance: int
-    deadline_seconds: float | None = None
-
-
-@dataclass(frozen=True)
-class TenantOutcome:
-    """What the front door and the search did with one request."""
-
-    tenant_id: str
-    client_id: str
-    latency_seconds: float
-    authenticated: bool
-    shed: bool
-    shed_reason: str = ""
 
 
 def build_tenant_authority(
@@ -112,9 +101,10 @@ def build_tenant_authority(
     Enrollment records are installed under their tenant's namespace in a
     sharded directory, so the storm exercises the same namespaced-key
     path production traffic uses — and the directory's hot cache keeps
-    the per-request image decrypt off the serving path once
-    :func:`plant_requests` has touched every record. Deterministic in
-    ``seed``.
+    the per-request image decrypt off the serving path once the planted
+    requests have touched every record. Victims take fleet slots
+    ``0..victims-1`` and aggressors the next ``aggressors`` slots of the
+    one :mod:`repro.storm` fleet. Deterministic in ``seed``.
     """
     if victims < 1 or aggressors < 1:
         raise ValueError("victims and aggressors must be positive")
@@ -132,151 +122,66 @@ def build_tenant_authority(
         ),
         hash_name=hash_name,
     )
-    fleets = (
-        (VICTIM_TENANT, victims),
-        (AGGRESSOR_TENANT, aggressors),
+    enroll_fleet(
+        authority, seed, range(victims), _NUM_CELLS, tenant_id=VICTIM_TENANT
     )
-    index = 0
-    for tenant_id, count in fleets:
-        for i in range(count):
-            puf = SRAMPuf(
-                num_cells=2048, stable_error=0.001, seed=seed * 7919 + index
-            )
-            mask = enroll_with_masking(
-                puf, 0, 2048, reads=8, instability_threshold=0.05
-            )
-            authority.enroll(f"{tenant_id}-{i:04d}", mask, tenant_id=tenant_id)
-            index += 1
+    enroll_fleet(
+        authority,
+        seed,
+        range(victims, victims + aggressors),
+        _NUM_CELLS,
+        tenant_id=AGGRESSOR_TENANT,
+    )
     return authority
 
 
-def plant_requests(
+def _planted(
     authority: CertificateAuthority,
     tenant_id: str,
-    count: int,
+    slots: range,
     distance: int,
-    seed: int = 0,
+    seed: int,
 ) -> list[TenantRequest]:
-    """Requests whose answers lie ``distance`` bit flips from S_init."""
+    """One request per fleet slot, ``distance`` flips from its S_init."""
     algo = get_hash(authority.hash_name)
     rng = np.random.default_rng(seed)
-    requests = []
-    for i in range(count):
-        client_id = f"{tenant_id}-{i:04d}"
-        base_seed = authority.enrolled_seed(client_id, tenant_id=tenant_id)
-        flips = rng.choice(SEED_BITS, size=distance, replace=False)
-        digest = algo.hash_seed(flip_bits(base_seed, [int(b) for b in flips]))
-        requests.append(
-            TenantRequest(
-                tenant_id=tenant_id,
-                client_id=client_id,
-                digest=digest,
-                planted_distance=distance,
-            )
+    return [
+        TenantRequest(
+            tenant_id=tenant_id,
+            client_id=client_id,
+            digest=plant(
+                algo,
+                authority.enrolled_seed(client_id, tenant_id=tenant_id),
+                distance,
+                rng,
+            ),
         )
-    return requests
+        for client_id in map(client_identity, slots)
+    ]
 
 
-def run_requests(
-    server: ConcurrentCAServer,
-    requests: list[TenantRequest],
-    timeout: float = 120.0,
-) -> list[TenantOutcome]:
-    """Submit the fleet back-to-back; per-request submit-to-settle latency.
+def _serve(
+    server: ConcurrentCAServer, fleet: list[TenantRequest]
+) -> list[Outcome[TenantRequest]]:
+    """Submit the fleet back to back; one outcome per request."""
+    return drive(
+        lambda r: server.submit(
+            r.client_id,
+            r.digest,
+            tenant_id=r.tenant_id,
+        ),
+        fleet,
+    )
 
-    Completion instants are stamped by each future's done-callback (on
-    the worker that settles it), so collection order cannot inflate a
-    fast request's measured latency.
-    """
-    settled: dict[int, float] = {}
 
-    def stamp(index: int):
-        def callback(_future) -> None:
-            settled[index] = time.perf_counter()
-
-        return callback
-
-    admitted: list[tuple[int, TenantRequest, float, object]] = []
-    outcomes: list[TenantOutcome] = []
-    for index, request in enumerate(requests):
-        started = time.perf_counter()
-        try:
-            future = server.submit(
-                request.client_id,
-                request.digest,
-                deadline_seconds=request.deadline_seconds,
-                tenant_id=request.tenant_id,
-            )
-        except RequestShed as exc:
-            outcomes.append(
-                TenantOutcome(
-                    tenant_id=request.tenant_id,
-                    client_id=request.client_id,
-                    latency_seconds=time.perf_counter() - started,
-                    authenticated=False,
-                    shed=True,
-                    shed_reason=exc.reason,
-                )
-            )
-            continue
-        future.add_done_callback(stamp(index))
-        admitted.append((index, request, started, future))
-    for index, request, started, future in admitted:
-        try:
-            result = future.result(timeout=timeout)
-        except RequestShed as exc:
-            outcomes.append(
-                TenantOutcome(
-                    tenant_id=request.tenant_id,
-                    client_id=request.client_id,
-                    latency_seconds=settled.get(index, started) - started,
-                    authenticated=False,
-                    shed=True,
-                    shed_reason=exc.reason,
-                )
-            )
-            continue
-        outcomes.append(
-            TenantOutcome(
-                tenant_id=request.tenant_id,
-                client_id=request.client_id,
-                latency_seconds=settled[index] - started,
-                authenticated=result.authenticated,
-                shed=False,
-            )
+def _by_tenant(outcomes: list[Outcome[TenantRequest]]) -> dict[str, Any]:
+    """:func:`~repro.storm.summarize` per tenant."""
+    return {
+        tenant_id: summarize(
+            [o for o in outcomes if o.request.tenant_id == tenant_id]
         )
-    return outcomes
-
-
-def summarize_outcomes(outcomes: list[TenantOutcome]) -> dict:
-    """Per-tenant served-latency percentiles, outcome counts, shed reasons."""
-    summary: dict[str, dict] = {}
-    for tenant_id in sorted({o.tenant_id for o in outcomes}):
-        group = [o for o in outcomes if o.tenant_id == tenant_id]
-        served = [o for o in group if not o.shed]
-        reasons: dict[str, int] = {}
-        for outcome in group:
-            if outcome.shed:
-                reasons[outcome.shed_reason] = (
-                    reasons.get(outcome.shed_reason, 0) + 1
-                )
-        stats = {
-            "count": len(group),
-            "served": len(served),
-            "authenticated": sum(1 for o in served if o.authenticated),
-            "shed": len(group) - len(served),
-            "shed_reasons": reasons,
-        }
-        if served:
-            latencies = [o.latency_seconds for o in served]
-            stats.update(
-                p50_seconds=round(percentile(latencies, 50), 6),
-                p95_seconds=round(percentile(latencies, 95), 6),
-                p99_seconds=round(percentile(latencies, 99), 6),
-                max_seconds=round(max(latencies), 6),
-            )
-        summary[tenant_id] = stats
-    return summary
+        for tenant_id in sorted({o.request.tenant_id for o in outcomes})
+    }
 
 
 def _interleave(
@@ -323,16 +228,19 @@ def run_noisy_neighbor(
         time_budget=time_budget,
         seed=seed,
     )
-    victim_requests = plant_requests(
-        authority, VICTIM_TENANT, victims, VICTIM_DISTANCE, seed=seed + 1
+    victim_requests = _planted(
+        authority, VICTIM_TENANT, range(victims), VICTIM_DISTANCE, seed + 1
     )
-    aggressor_requests = plant_requests(
-        authority, AGGRESSOR_TENANT, aggressors, AGGRESSOR_DISTANCE,
-        seed=seed + 2,
+    aggressor_requests = _planted(
+        authority,
+        AGGRESSOR_TENANT,
+        range(victims, victims + aggressors),
+        AGGRESSOR_DISTANCE,
+        seed + 2,
     )
     storm_order = _interleave(victim_requests, aggressor_requests)
 
-    def quota_registry() -> TenantRegistry:
+    def registry(quota: bool) -> TenantRegistry:
         # Fresh per phase: token buckets start full each time.
         return TenantRegistry(
             tenants=(
@@ -342,16 +250,10 @@ def run_noisy_neighbor(
                     weight=1.0,
                     quota=TenantQuota(
                         lookup_rate=aggressor_rate, burst=aggressor_burst
-                    ),
+                    )
+                    if quota
+                    else TenantQuota(),
                 ),
-            )
-        )
-
-    def open_registry() -> TenantRegistry:
-        return TenantRegistry(
-            tenants=(
-                TenantContext(VICTIM_TENANT, weight=4.0),
-                TenantContext(AGGRESSOR_TENANT, weight=1.0),
             )
         )
 
@@ -359,15 +261,14 @@ def run_noisy_neighbor(
     storm_metrics: dict = {}
     storm_tenants: dict = {}
     for name, registry, fleet in (
-        ("baseline", quota_registry(), victim_requests),
-        ("storm", quota_registry(), storm_order),
-        ("unprotected", open_registry(), storm_order),
+        ("baseline", registry(quota=True), victim_requests),
+        ("storm", registry(quota=True), storm_order),
+        ("unprotected", registry(quota=False), storm_order),
     ):
         with ConcurrentCAServer(
             authority, workers=workers, max_queue=256, tenants=registry
         ) as server:
-            outcomes = run_requests(server, fleet)
-        phases[name] = summarize_outcomes(outcomes)
+            phases[name] = _by_tenant(_serve(server, fleet))
         if name == "storm":
             storm_metrics = server.metrics.snapshot()
             storm_tenants = server.metrics.tenant_snapshot()
@@ -376,8 +277,8 @@ def run_noisy_neighbor(
     storm_victim = phases["storm"][VICTIM_TENANT]
     storm_aggressor = phases["storm"][AGGRESSOR_TENANT]
     unprotected_victim = phases["unprotected"][VICTIM_TENANT]
-    baseline_p99 = baseline.get("p99_seconds", 0.0)
-    storm_p99 = storm_victim.get("p99_seconds", 0.0)
+    baseline_p99 = baseline["p99_seconds"] or 0.0
+    storm_p99 = storm_victim["p99_seconds"] or 0.0
     return {
         "config": {
             "hash_name": hash_name,
@@ -395,8 +296,8 @@ def run_noisy_neighbor(
         "unprotected": phases["unprotected"],
         "victim_p99_baseline_seconds": baseline_p99,
         "victim_p99_storm_seconds": storm_p99,
-        "victim_p99_unprotected_seconds": unprotected_victim.get(
-            "p99_seconds", 0.0
+        "victim_p99_unprotected_seconds": (
+            unprotected_victim["p99_seconds"] or 0.0
         ),
         "victim_p99_ratio": (
             round(storm_p99 / baseline_p99, 4) if baseline_p99 > 0 else None
@@ -424,17 +325,24 @@ def noisy_neighbor_gates(
     the isolation claim is about orders of magnitude.
     """
     storm_victim = record["storm"][VICTIM_TENANT]
+    storm_aggressor = record["storm"][AGGRESSOR_TENANT]
     baseline_p99 = record["victim_p99_baseline_seconds"]
-    mistyped = sum(
-        count
-        for reason, count in record["aggressor_shed_reasons"].items()
-        if reason != SHED_TENANT_QUOTA
+    # Every aggressor request the server turned away other than with a
+    # typed quota shed: another shed reason, an untyped error, or a loss.
+    mistyped = (
+        sum(
+            count
+            for reason, count in record["aggressor_shed_reasons"].items()
+            if reason != SHED_TENANT_QUOTA
+        )
+        + storm_aggressor["errors"]
+        + storm_aggressor["lost"]
     )
     return [
         Gate("victim_shed", storm_victim["shed"], 0),
         Gate(
             "victim_authenticated",
-            storm_victim["authenticated"],
+            storm_victim["found"],
             storm_victim["count"],
         ),
         # The storm really overloaded the aggressor's bucket.

@@ -668,3 +668,46 @@ class TestFalseAuthenticationTripwire:
             result = server.submit(client_id, digest).result(timeout=60)
         assert result.authenticated
         assert verifying.false_authentications == 1
+
+
+class TestIssuanceFailureAccounting:
+    """A key issuance that raises still finishes the request: it is
+    counted ``failed`` for its tenant on both serving paths, so
+    ``submitted == completed + failed + pending`` holds."""
+
+    @pytest.mark.parametrize("mode", ["fifo", "sched"])
+    def test_issuance_failure_counts_as_failed(self, mode):
+        from repro import quick_setup
+        from repro.engines import build_engine
+        from repro.hashes.registry import get_hash
+        from repro.storm import plant
+        from repro.tenancy.context import DEFAULT_TENANT
+
+        authority, _client, _mask = quick_setup(
+            seed=3, max_distance=2, noise_target_distance=1
+        )
+
+        def refuse(*_args, **_kwargs):
+            raise RuntimeError("key issuance down")
+
+        authority.issue_public_key = refuse
+        digest = plant(
+            get_hash(authority.hash_name),
+            authority.enrolled_seed("client-0"),
+            1,
+            np.random.default_rng(0),
+        )
+        scheduler = (
+            build_engine("sched", hash_name=authority.hash_name)
+            if mode == "sched"
+            else None
+        )
+        with ConcurrentCAServer(authority, scheduler=scheduler) as server:
+            with pytest.raises(RuntimeError, match="key issuance down"):
+                server.submit("client-0", digest).result(timeout=30.0)
+            metrics = server.metrics.snapshot()
+            tenant = server.metrics.tenant_snapshot()[DEFAULT_TENANT]
+        assert (metrics["submitted"], metrics["completed"], metrics["failed"]) == (
+            1, 0, 1
+        )
+        assert (tenant["submitted"], tenant["failed"]) == (1, 1)

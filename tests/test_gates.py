@@ -204,38 +204,49 @@ def test_short_directory_storm_fails_every_missing_wave():
     assert report.passed is False
 
 
-def test_noisy_neighbor_gates_name_a_shed_victim():
-    def phase(victim_shed):
+def _tenancy_record(victim_shed=0, aggressor_errors=0):
+    """A noisy-neighbor record whose storm phase has ``victim_shed`` shed
+    victims and ``aggressor_errors`` aggressor requests that raised."""
+
+    def phase(victim_shed, aggressor_errors):
         return {
             VICTIM_TENANT: {
                 "count": 4, "served": 4 - victim_shed,
-                "authenticated": 4 - victim_shed, "shed": victim_shed,
-                "shed_reasons": {}, "p50_seconds": 0.1, "p99_seconds": 0.2,
+                "found": 4 - victim_shed, "shed": victim_shed,
+                "shed_reasons": {}, "lost": 0, "errors": 0,
+                "p50_seconds": 0.1, "p99_seconds": 0.2,
             },
             AGGRESSOR_TENANT: {
-                "count": 8, "served": 1, "authenticated": 1, "shed": 7,
-                "shed_reasons": {"tenant_quota": 7}, "p50_seconds": 0.1,
-                "p99_seconds": 0.1,
+                "count": 8, "served": 1, "found": 1,
+                "shed": 7 - aggressor_errors,
+                "shed_reasons": {"tenant_quota": 7 - aggressor_errors},
+                "lost": 0, "errors": aggressor_errors,
+                "p50_seconds": 0.1, "p99_seconds": 0.1,
             },
         }
 
-    record = {
+    storm = phase(victim_shed, aggressor_errors)
+    return {
         "config": {
             "victims": 4, "aggressors": 8, "aggressor_rate": 1.0,
             "aggressor_burst": 1.0, "workers": 2, "hash_name": "sha1",
         },
-        "baseline": phase(0),
-        "storm": phase(1),
-        "unprotected": phase(0),
+        "baseline": phase(0, 0),
+        "storm": storm,
+        "unprotected": phase(0, 0),
         "victim_p99_baseline_seconds": 0.2,
         "victim_p99_storm_seconds": 0.2,
         "victim_p99_unprotected_seconds": 0.9,
         "victim_p99_ratio": 1.0,
         "aggressor_admitted": 1,
-        "aggressor_shed": 7,
-        "aggressor_shed_reasons": {"tenant_quota": 7},
+        "aggressor_shed": storm[AGGRESSOR_TENANT]["shed"],
+        "aggressor_shed_reasons": storm[AGGRESSOR_TENANT]["shed_reasons"],
         "server": {"storm_tenants": {}},
     }
+
+
+def test_noisy_neighbor_gates_name_a_shed_victim():
+    record = _tenancy_record(victim_shed=1)
     gates = noisy_neighbor_gates(record)
     assert [g.name for g in gates if not g.ok] == [
         "victim_shed", "victim_authenticated",
@@ -244,3 +255,46 @@ def test_noisy_neighbor_gates_name_a_shed_victim():
     assert "FAIL victim_shed: 1 (bound == 0)" in render_noisy_neighbor(
         record, gates
     )
+
+
+def test_noisy_neighbor_gates_fail_on_an_untyped_aggressor_error():
+    # An aggressor request that raised was turned away, but not by a
+    # typed quota shed.
+    gates = noisy_neighbor_gates(_tenancy_record(aggressor_errors=1))
+    assert [g.name for g in gates if not g.ok] == [
+        "aggressor_sheds_not_tenant_quota",
+    ]
+    assert exit_code(gates) == 1
+
+
+def test_scheduler_gate_fails_when_a_shallow_ticket_raises(monkeypatch):
+    from concurrent.futures import Future
+
+    from repro.fleet.engine import FleetSearchEngine
+    from repro.sched.workload import (
+        compare_fifo_and_scheduled,
+        comparison_gates,
+    )
+
+    real_submit = FleetSearchEngine.submit
+
+    def submit(self, *args, client_id="", **kwargs):
+        if client_id == "wl-0000":  # depth 1: a shallow request
+            broken: Future = Future()
+            broken.set_exception(RuntimeError("device fault"))
+            return broken
+        return real_submit(self, *args, client_id=client_id, **kwargs)
+
+    monkeypatch.setattr(FleetSearchEngine, "submit", submit)
+    record = compare_fifo_and_scheduled(
+        requests=4, depths=(1, 2), time_budget=2.0, batch_size=4096
+    )
+    assert record["scheduled"]["shallow"]["errors"] == 1
+    # The three shallow requests that were served must not stand in for
+    # the one that raised.
+    assert record["shallow_p99_scheduled_seconds"] is None
+    gates = comparison_gates(record)
+    assert [g.name for g in gates if not g.ok] == [
+        "shallow_p99_scheduled_seconds"
+    ]
+    assert exit_code(gates) == 1
